@@ -6,6 +6,7 @@
 #include "ml/kfold.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/threads.hpp"
 
 namespace mpidetect::core {
 
@@ -28,7 +29,7 @@ std::vector<std::size_t> select(std::span<const std::size_t> values,
 }  // namespace
 
 EvalEngine::EvalEngine(unsigned threads, std::shared_ptr<EncodingCache> cache)
-    : pool_(threads),
+    : threads_(resolve_threads(threads)),
       cache_(cache ? std::move(cache) : std::make_shared<EncodingCache>()) {}
 
 std::size_t EvalEngine::LabelTable::index_of(const std::string& name) const {
@@ -68,8 +69,8 @@ void EvalEngine::evaluate_all(Detector& det, const datasets::Dataset& ds,
                               std::vector<Verdict>& verdicts) {
   verdicts.resize(ds.size());
   if (det.parallel_eval_safe()) {
-    pool_.parallel_for(ds.size(),
-                       [&](std::size_t i) { verdicts[i] = det.evaluate(ds, i); });
+    parallel_for(ds.size(), threads_,
+                 [&](std::size_t i) { verdicts[i] = det.evaluate(ds, i); });
   } else {
     for (std::size_t i = 0; i < ds.size(); ++i) {
       verdicts[i] = det.evaluate(ds, i);
@@ -117,7 +118,7 @@ EvalReport EvalEngine::make_report(Detector& det, std::string protocol,
 EvalReport EvalEngine::sweep(Detector& det, const datasets::Dataset& ds) {
   const auto t0 = Clock::now();
   det.use_cache(cache_);
-  det.prepare(ds, pool_.size());
+  det.prepare(ds, threads_);
   std::vector<Verdict> verdicts;
   evaluate_all(det, ds, verdicts);
   EvalReport r = make_report(det, "sweep", ds, ds, std::move(verdicts),
@@ -134,7 +135,7 @@ EvalReport EvalEngine::kfold(Detector& det, const datasets::Dataset& ds,
                              const EvalOptions& opts) {
   const auto t0 = Clock::now();
   det.use_cache(cache_);
-  det.prepare(ds, pool_.size());
+  det.prepare(ds, threads_);
 
   if (!det.trainable()) {
     // Nothing to train per fold: the protocol degenerates to a sweep.
@@ -170,8 +171,8 @@ EvalReport EvalEngine::kfold(Detector& det, const datasets::Dataset& ds,
     if (folds[f].empty()) return;  // possible under hashed assignment
     // A forced per-fold thread budget also caps the dense-math kernels
     // (ml/kernels.hpp) for the whole fold — training AND validation —
-    // so folds running in parallel on the pool don't oversubscribe
-    // cores with nested kernel parallelism.
+    // so they take their serial path directly; a fold running on the
+    // pool would run any nested pool call inline anyway.
     ml::kernels::ScopedKernelThreads kernel_scope(
         spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
     const auto& val_idx = folds[f];
@@ -193,8 +194,8 @@ EvalReport EvalEngine::kfold(Detector& det, const datasets::Dataset& ds,
   } else {
     // Folds are independent: train them in parallel, each fold capped at
     // one training thread to avoid oversubscribing the pool.
-    pool_.parallel_for(folds.size(),
-                       [&](std::size_t f) { run_fold(f, FitSpec{f, 1, false}); });
+    parallel_for(folds.size(), threads_,
+                 [&](std::size_t f) { run_fold(f, FitSpec{f, 1, false}); });
   }
 
   EvalReport r = make_report(det, "kfold", ds, ds, std::move(verdicts),
@@ -247,9 +248,9 @@ void EvalEngine::evaluate_stream(Detector& det, const corpus::CaseSource& src,
     win.name = src.name() + ":window";
     win.cases.reserve(end - b);
     for (std::size_t k = b; k < end; ++k) win.cases.push_back(src.load(idx[k]));
-    det.prepare(win, pool_.size());
+    det.prepare(win, threads_);
     if (det.parallel_eval_safe()) {
-      pool_.parallel_for(win.size(), [&](std::size_t j) {
+      parallel_for(win.size(), threads_, [&](std::size_t j) {
         verdicts[idx[b + j]] = det.evaluate(win, j);
       });
     } else {
@@ -343,7 +344,7 @@ EvalReport EvalEngine::cross(Detector& det, const datasets::Dataset& train,
   (void)opts;  // cross has no folds; kept for signature symmetry
   const auto t0 = Clock::now();
   fit_full(det, train);
-  det.prepare(valid, pool_.size());
+  det.prepare(valid, threads_);
   std::vector<Verdict> verdicts;
   evaluate_all(det, valid, verdicts);
   EvalReport r = make_report(det, "cross", train, valid, std::move(verdicts),
@@ -381,7 +382,7 @@ EvalReport EvalEngine::cross_stream(Detector& det,
 
 void EvalEngine::fit_full(Detector& det, const datasets::Dataset& ds) {
   det.use_cache(cache_);
-  det.prepare(ds, pool_.size());
+  det.prepare(ds, threads_);
   if (!det.trainable()) return;
   std::vector<std::size_t> all_idx(ds.size());
   for (std::size_t i = 0; i < ds.size(); ++i) all_idx[i] = i;
@@ -395,7 +396,7 @@ AblationReport EvalEngine::ablation(Detector& det, const datasets::Dataset& ds,
                                     const EvalOptions& opts) {
   const auto t0 = Clock::now();
   det.use_cache(cache_);
-  det.prepare(ds, pool_.size());
+  det.prepare(ds, threads_);
 
   const LabelTable labels = label_table(ds);
   std::vector<bool> is_excluded(ds.size(), false);

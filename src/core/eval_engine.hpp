@@ -1,9 +1,10 @@
 // The one evaluation engine behind every bench, example and test: the
 // cross-cutting protocols the paper runs each detector through (straight
 // dataset sweeps, Intra/Mix stratified k-fold CV, Cross suite-transfer,
-// and the label-exclusion ablations of §V-E), thread-parallel over one
-// shared worker pool, with dataset encodings cached so each corpus is
-// embedded once per run no matter how many detectors consume it.
+// and the label-exclusion ablations of §V-E), thread-parallel over the
+// process-wide pool (support/threads.hpp), with dataset encodings
+// cached so each corpus is embedded once per run no matter how many
+// detectors consume it.
 #pragma once
 
 #include <array>
@@ -15,7 +16,6 @@
 #include "core/detector.hpp"
 #include "corpus/corpus.hpp"
 #include "ml/metrics.hpp"
-#include "support/threads.hpp"
 
 namespace mpidetect::core {
 
@@ -63,8 +63,9 @@ struct StreamOptions {
 
 class EvalEngine {
  public:
-  /// \brief Builds the engine with its shared worker pool and cache.
-  /// \param threads pool width; 0 = hardware concurrency.
+  /// \brief Builds the engine with its parallel width and cache.
+  /// \param threads how many threads of the process-wide pool the
+  ///        protocols may use; 0 = all of them (resolve_threads).
   /// \param cache encoding cache shared with the detectors'
   ///        DetectorConfig so each corpus is embedded once per run
   ///        (null allocates a private one). Give the cache a spill
@@ -74,7 +75,7 @@ class EvalEngine {
                       std::shared_ptr<EncodingCache> cache = nullptr);
 
   const std::shared_ptr<EncodingCache>& cache() const { return cache_; }
-  unsigned threads() const { return pool_.size(); }
+  unsigned threads() const { return threads_; }
 
   /// \brief Straight dataset sweep: every case through the detector
   /// once (the expert-tool protocol; also what `mpiguard predict` runs
@@ -186,7 +187,7 @@ class EvalEngine {
                        std::span<const std::size_t> idx, std::size_t window,
                        std::vector<Verdict>& verdicts);
 
-  ThreadPool pool_;
+  unsigned threads_;
   std::shared_ptr<EncodingCache> cache_;
 };
 

@@ -42,7 +42,6 @@ GaResult select_features(std::size_t dim, const FitnessFn& fitness,
   // Memoised, parallel fitness evaluation.
   std::map<Individual, double> cache;
   std::mutex cache_mutex;
-  const unsigned n_threads = resolve_threads(cfg.threads);
 
   const auto evaluate_all =
       [&](const std::vector<Individual>& gen) -> std::vector<double> {
@@ -61,7 +60,7 @@ GaResult select_features(std::size_t dim, const FitnessFn& fitness,
       }
     }
     std::vector<std::pair<const Individual*, double>> results(todo.size());
-    parallel_for(todo.size(), n_threads, [&](std::size_t i) {
+    parallel_for(todo.size(), cfg.threads, [&](std::size_t i) {
       results[i] = {todo[i], fitness(*todo[i])};
     });
     std::vector<double> out(gen.size());

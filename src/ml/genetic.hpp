@@ -22,7 +22,7 @@ struct GaConfig {
   std::size_t tournament = 2;
   std::size_t elitism = 1;
   std::uint64_t seed = 42;
-  unsigned threads = 0;  // 0 = hardware concurrency
+  unsigned threads = 0;  // 0 = the whole pool (resolve_threads)
 };
 
 /// Fitness of a candidate feature subset (higher is better). Must be

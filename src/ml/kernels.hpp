@@ -1,8 +1,8 @@
 // Kernel execution policy for the dense-math substrate (ml/matrix.hpp)
 // and the autograd gather/scatter ops: tuning constants for the blocked
 // kernels, a thread-local thread-count override so callers (EvalEngine
-// fold training, benchmarks) can pin kernels to one thread, a
-// process-shared worker pool the big kernels parallelize over, the
+// fold training, benchmarks) can cap the big kernels' share of the
+// process-wide pool (support/threads.hpp), the
 // baseline switch that routes Matrix::matmul through the seed's naive
 // triple loop for before/after measurements (bench/perf_gnn), the
 // runtime SIMD dispatch table (AVX2 / NEON inner kernels with a scalar
@@ -57,7 +57,7 @@ inline constexpr std::size_t kParallelMinElems = std::size_t{1} << 16;
 /// The instruction-set target a kernel call runs on. Detected once per
 /// process; Scalar is always available and is what every other target
 /// is tested against for bit-identity.
-enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2, Avx512 = 3 };
+enum class Isa : std::uint8_t { Scalar = 0, Avx2 = 1, Neon = 2 };
 
 const char* isa_name(Isa isa);
 
@@ -135,14 +135,11 @@ const KernelFns& fns_for(Isa isa);
 
 namespace detail {
 /// The best SIMD table this build carries for the running CPU (AVX2 on
-/// x86-64 with CPU support — deliberately ahead of AVX-512, see the
-/// comment in kernels_simd.cpp — NEON on aarch64), or nullptr when only
-/// the scalar path is available. Implemented in kernels_simd.cpp.
+/// x86-64 with CPU support, NEON on aarch64), or nullptr when only the
+/// scalar path is available. Implemented in kernels_simd.cpp.
 const KernelFns* simd_table(Isa* isa);
 /// The table for one specific SIMD target, or nullptr when this
-/// build/CPU cannot run it (fns_for's lookup: on an AVX-512 machine the
-/// AVX2 table is still individually addressable for the equivalence
-/// tests).
+/// build/CPU cannot run it (fns_for's lookup for the equivalence tests).
 const KernelFns* simd_table_for(Isa isa);
 }  // namespace detail
 
@@ -199,7 +196,7 @@ class OpTimer {
 // ---- thread budget ----------------------------------------------------------
 
 /// \brief Thread budget the kernels may use on the calling thread.
-/// \return 0 = auto (hardware concurrency); 1 = serial; n = at most n.
+/// \return 0 = auto (the whole pool); 1 = serial; n = at most n.
 ///
 /// The value is thread-local: EvalEngine trains CV folds in parallel
 /// with each fold pinned to one kernel thread, while a full-set fit on
@@ -209,19 +206,11 @@ unsigned kernel_threads();
 /// Sets the calling thread's kernel thread budget (see kernel_threads).
 void set_kernel_threads(unsigned n);
 
-/// The raw hardware-concurrency probe (resolve_threads(0)), cached once
-/// per process. This is the ONLY cached input to the thread budget: the
-/// effective budget itself is recomputed at every dispatch, so a pin
-/// active during the first kernel call never freezes the process-wide
-/// answer.
-unsigned hardware_probe();
-
 /// \brief The pool width a kernel dispatched under `requested` threads
-/// actually uses: the hardware probe for 0 (auto), otherwise exactly
-/// `requested` — the shared pool grows on demand to honor an explicit
-/// budget above its current size. Bench records report THIS value
-/// (scripts/check_bench_json.py requires it), so a record can never
-/// claim a thread count the pool did not have.
+/// actually uses: resolve_threads(requested), i.e. the hardware probe
+/// for 0 (auto) and `requested` capped at it otherwise. Bench records
+/// report THIS value (scripts/check_bench_json.py requires it), so a
+/// record can never claim a thread count the pool did not have.
 unsigned effective_threads(unsigned requested);
 
 /// RAII override of the calling thread's kernel thread budget.
@@ -265,14 +254,14 @@ void parallel_ranges_impl(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// True when a kernel over `n` items is allowed to touch the pool at
-/// all: parallelism enabled for this thread and more than one item.
-/// (The pool may still be busy — parallel_ranges falls back inline.)
+/// all: a budget above one for this thread and more than one item.
+/// (The pool may still run it inline — see parallel_for.)
 bool parallel_allowed(std::size_t n);
 
 /// \brief Runs fn(begin, end) over a partition of [0, n) on the shared
-/// kernel pool, or inline when parallelism is off, unprofitable, or the
-/// pool is busy (another thread's kernel holds it, or we are already
-/// inside a kernel task — the pool is not reentrant).
+/// pool (support/threads.hpp), or inline when parallelism is off,
+/// unprofitable, or the pool is unavailable (another caller holds it,
+/// or we are already inside a pool task).
 ///
 /// The serial path calls `fn` directly — no std::function, no thread
 /// resolution — so wrapping a kernel in parallel_ranges costs nothing

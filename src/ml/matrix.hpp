@@ -3,7 +3,7 @@
 // the test suite are meaningful.
 //
 // matmul runs a cache-blocked, k-unrolled kernel that parallelizes over
-// row stripes on the shared kernel pool above a size threshold
+// row stripes on the process-wide pool above a size threshold
 // (ml/kernels.hpp); it is bit-identical to the reference triple loop
 // (matmul_naive), which is kept for tests and the perf-bench baseline.
 // The _nt/_tn variants fuse the transposes the autograd backward needs

@@ -34,7 +34,7 @@ std::vector<float> bf16_row_vector(const Matrix& m) {
 
 // out = a (N x K) times w (K x M), dequantized per column and rounded to
 // bf16 — the only matmul the quantized forward uses. Parallelizes over
-// output rows on the shared kernel pool like the fp matmul; rows are
+// output rows on the process-wide pool like the fp matmul; rows are
 // independent, so any split is bit-identical to serial.
 FloatMat qmatmul(const FloatMat& a, const QuantizedMatrix& w) {
   MPIDETECT_EXPECTS(a.cols == w.rows);

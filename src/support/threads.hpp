@@ -1,82 +1,43 @@
-// Shared concurrency helpers: the one place that resolves "0 means
-// hardware concurrency", a one-shot parallel_for matching the worker
-// pattern used across the detectors, and a persistent ThreadPool that
-// EvalEngine uses so every evaluation protocol shares one set of
-// workers.
+// The library's one fork-join mechanism: a process-wide worker pool
+// behind a single free function, parallel_for, plus the one CPU probe
+// that sizes it. Every parallel loop runs here: dataset encoding, GA
+// fitness evaluation, EvalEngine sweeps and folds, and the dense-math
+// kernels (ml/kernels.hpp).
+//
+// The pool is sized once from hardware_probe(), created on first use
+// and intentionally leaked (kernels may run during static destruction).
+// It never grows: a requested width above the probe is capped at it.
+// Each call keeps its job state on the caller's stack, and the caller
+// closes admission and waits for every worker that joined before it
+// returns, so no worker can ever touch a finished job.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace mpidetect {
 
-/// Resolves a requested thread count: 0 means "use the hardware", with
-/// a floor of one so headless containers never divide by zero.
-inline unsigned resolve_threads(unsigned requested) {
-  return requested != 0 ? requested
-                        : std::max(1u, std::thread::hardware_concurrency());
-}
+/// CPUs this process may run on: the sched_getaffinity mask, so taskset
+/// and cpusets are honored, or hardware_concurrency() only when that
+/// call fails. At least one. Probed once per process.
+unsigned hardware_probe();
 
-/// Runs fn(0), ..., fn(n-1) on `threads` short-lived workers pulling
-/// indices from a shared counter. threads == 0 resolves to hardware
-/// concurrency; a resolved count of one runs inline.
-template <typename Fn>
-void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
-  const unsigned n_threads = resolve_threads(threads);
-  if (n_threads == 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) {
-    workers.emplace_back([&] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= n) break;
-        fn(i);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-}
+/// Resolves a requested thread count to the width the pool can give:
+/// 0 means hardware_probe(), and anything above the probe is capped at
+/// it.
+unsigned resolve_threads(unsigned requested);
 
-/// Persistent worker pool. One instance serves many parallel_for calls
-/// without respawning threads; the calling thread participates, so a
-/// pool of size k runs k tasks concurrently. Not reentrant: only one
-/// parallel_for may be in flight at a time (nested parallelism inside a
-/// task must use the one-shot helper above or run single-threaded).
-class ThreadPool {
- public:
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  unsigned size() const { return size_; }
-
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
- private:
-  void worker_loop();
-
-  unsigned size_ = 1;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable wake_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t job_n_ = 0;
-  std::uint64_t generation_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t working_ = 0;
-  bool stop_ = false;
-};
+/// \brief Runs fn(0), ..., fn(n-1) on the shared pool, each index
+/// exactly once, and returns when all have finished.
+///
+/// At most `width` threads take part (0 = resolve_threads(0)), the
+/// caller included. The call runs inline, in index order, when the
+/// width resolves to one, n <= 1, the caller is itself running a pool
+/// task, or another caller holds the pool at that moment; nested and
+/// concurrent calls therefore never deadlock and never oversubscribe.
+/// If fn throws, the remaining indices are skipped and the first
+/// exception is rethrown to the caller once every worker has left.
+void parallel_for(std::size_t n, unsigned width,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace mpidetect

@@ -109,7 +109,7 @@ TEST(BlockedKernels, NaiveModeSwitchRoutesMatmul) {
 TEST(BlockedKernels, ParallelMatchesSerialBitForBit) {
   Rng rng(5);
   // Big enough to cross kParallelMinFlops; on multi-core hosts this
-  // runs on the kernel pool, and must still be bit-identical.
+  // runs on the shared pool, and must still be bit-identical.
   Matrix a = random_matrix(600, 64, rng);
   Matrix b = random_matrix(64, 48, rng);
   Matrix expected;
@@ -520,9 +520,8 @@ std::uint32_t float_bits(float x) {
 /// The targets worth comparing on this machine: scalar plus whatever
 /// fns_for resolves the others to (unsupported targets fall back to the
 /// scalar table, which makes the comparison trivially true, not wrong).
-const std::array<kernels::Isa, 4> kAllTargets = {
-    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Neon,
-    kernels::Isa::Avx512};
+const std::array<kernels::Isa, 3> kAllTargets = {
+    kernels::Isa::Scalar, kernels::Isa::Avx2, kernels::Isa::Neon};
 
 /// Fills `n` doubles with a mix of ordinary, denormal, tiny and huge
 /// magnitudes — the inputs where a reassociated or FMA-contracted

@@ -504,14 +504,21 @@ TEST(ServerTest, FullQueueAnswersBusy) {
   EXPECT_EQ(server.snapshot_stats().busy_rejected, 1u);
 
   // Draining the queue frees the slots and the rejected request can be
-  // resubmitted successfully.
+  // resubmitted successfully. Both queued verdicts are read first: the
+  // worker answers a request only after dequeuing it, so once they
+  // arrive the queue is provably empty and the resubmit cannot race
+  // the drain into another BUSY.
   server.start();
-  serve::write_frame(*conn.client, serve::Submit{3, "gnn", kSpec, 3});
   std::map<std::uint64_t, serve::WireVerdict> got;
-  while (got.size() < 3) {
+  while (got.size() < 2) {
     const auto v = std::get<serve::WireVerdict>(conn.read());
     got.emplace(v.request_id, v);
   }
+  EXPECT_EQ(got.count(1), 1u);
+  EXPECT_EQ(got.count(2), 1u);
+  serve::write_frame(*conn.client, serve::Submit{3, "gnn", kSpec, 3});
+  const auto v = std::get<serve::WireVerdict>(conn.read());
+  EXPECT_EQ(v.request_id, 3u);
   conn.close();
   server.stop();
 }

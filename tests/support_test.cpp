@@ -1,14 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
+#include "support/threads.hpp"
 
 namespace mpidetect {
 namespace {
@@ -263,6 +274,125 @@ TEST(Stats, HistogramSingleValueGoesToOneBin) {
 TEST(Stats, SparklineNonEmpty) {
   const std::vector<double> xs{1, 2, 2, 3, 3, 3};
   EXPECT_FALSE(sparkline(xs, 8).empty());
+}
+
+// -------------------------------------------------------------- threads
+TEST(Threads, ResolveCapsAtTheProbe) {
+  const unsigned hw = hardware_probe();
+  EXPECT_GE(hw, 1u);
+  EXPECT_EQ(resolve_threads(0), hw);
+  EXPECT_EQ(resolve_threads(1), 1u);
+  EXPECT_EQ(resolve_threads(hw + 7), hw);
+}
+
+#if defined(__linux__)
+TEST(Threads, ProbeHonorsTheAffinityMask) {
+  // The "threadsafe" style re-executes this binary for the child, so the
+  // child pins itself before its first (cached) probe.
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        cpu_set_t set;
+        CPU_ZERO(&set);
+        if (sched_getaffinity(0, sizeof(set), &set) != 0) std::_Exit(2);
+        int cpu = 0;
+        while (!CPU_ISSET(cpu, &set)) ++cpu;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        if (sched_setaffinity(0, sizeof(one), &one) != 0) std::_Exit(2);
+        std::_Exit(hardware_probe() == 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+#endif
+
+TEST(Threads, AlternatingJobsRunEveryIndexExactlyOnce) {
+  // Short jobs right after long ones are where a worker that wakes late
+  // would run a finished job's closure over the next job's indices.
+  std::array<std::atomic<int>, 64> hits{};
+  std::atomic<std::size_t> out_of_range{0};
+  std::size_t bad_jobs = 0;
+  for (int job = 0; job < 100000; ++job) {
+    const std::size_t n = job % 2 == 0 ? 64 : 3;
+    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+    parallel_for(n, 4, [&](std::size_t i) {
+      if (i >= n) {
+        out_of_range.fetch_add(1);
+        return;
+      }
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      if (hits[i].load() != (i < n ? 1 : 0)) {
+        ++bad_jobs;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(out_of_range.load(), 0u);
+  EXPECT_EQ(bad_jobs, 0u);
+}
+
+TEST(Threads, WidthCapsTheParticipants) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(4096, 2, [&](std::size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(ids.size(), 2u);
+}
+
+TEST(Threads, NestedCallRunsInline) {
+  std::atomic<std::size_t> foreign{0};
+  std::atomic<std::size_t> out_of_order{0};
+  parallel_for(8, 0, [&](std::size_t) {
+    const auto self = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    parallel_for(16, 0, [&](std::size_t j) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+      order.push_back(j);
+    });
+    for (std::size_t j = 0; j < order.size(); ++j) {
+      if (order[j] != j) out_of_order.fetch_add(1);
+    }
+    if (order.size() != 16) out_of_order.fetch_add(1);
+  });
+  EXPECT_EQ(foreign.load(), 0u);
+  EXPECT_EQ(out_of_order.load(), 0u);
+}
+
+TEST(Threads, ConcurrentTopLevelCallersBothFinish) {
+  constexpr std::size_t kN = 4096;
+  constexpr int kRounds = 200;
+  std::vector<std::atomic<int>> a(kN), b(kN);
+  const auto rounds = [&](std::vector<std::atomic<int>>& hits) {
+    for (int r = 0; r < kRounds; ++r) {
+      parallel_for(kN, 0, [&](std::size_t i) { hits[i].fetch_add(1); });
+    }
+  };
+  std::thread other([&] { rounds(a); });
+  rounds(b);
+  other.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(a[i].load(), kRounds) << "index " << i;
+    ASSERT_EQ(b[i].load(), kRounds) << "index " << i;
+  }
+}
+
+TEST(Threads, FirstExceptionReachesTheCaller) {
+  EXPECT_THROW(parallel_for(1000, 0,
+                            [](std::size_t i) {
+                              if (i == 500) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  // The pool is released and keeps working afterwards.
+  std::atomic<std::size_t> sum{0};
+  parallel_for(100, 0, [&](std::size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 4950u);
 }
 
 }  // namespace

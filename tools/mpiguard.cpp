@@ -69,7 +69,7 @@ dataset SPEC        mbi | corr | mix, with optional scale and generator
 common options:
   --cache-dir DIR   on-disk encoding cache shared across runs: each
                     corpus is compiled+embedded once per machine
-  --threads N       worker pool width (default: hardware concurrency)
+  --threads N       worker pool width (default: every usable CPU)
   --ga              enable GA feature selection for ir2vec (off by
                     default on the CLI; --ga-pop/--ga-gens to size it)
   --folds N         override k-fold count (eval kfold)

@@ -40,7 +40,7 @@ options:
   --batch N         coalescing window: requests per inference batch
                     (default 8)
   --threads N       encode width for first-touch dataset encodes
-                    (default: hardware concurrency)
+                    (default: every usable CPU)
   --cache-dir DIR   encoding-spill directory shared with mpiguard runs
   --max-scale X     largest dataset scale a SUBMIT may request
                     (default 2.0)
