@@ -128,13 +128,14 @@ std::vector<Verdict> Detector::run(std::span<const datasets::Case> cases) {
   datasets::Dataset batch;
   batch.name = "batch";
   batch.cases.assign(cases.begin(), cases.end());
-  prepare(batch);
+  // Ad-hoc batches must not accumulate in the cache, even when
+  // evaluate() throws (an unfitted detector).
+  const ScopedPrepare prepared(*this, batch);
   std::vector<Verdict> out;
   out.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     out.push_back(evaluate(batch, i));
   }
-  discard(batch);  // ad-hoc batches must not accumulate in the cache
   return out;
 }
 
@@ -184,30 +185,26 @@ EvalOptions Ir2vecDetector::eval_defaults() const {
 void Ir2vecDetector::use_cache(const std::shared_ptr<EncodingCache>& cache) {
   if (cache && cache != cfg_.cache) {
     cfg_.cache = cache;
-    bound_ds_ = nullptr;
-    bound_fs_ = nullptr;
+    bound_.clear();
   }
 }
 
 const FeatureSet& Ir2vecDetector::features(const datasets::Dataset& ds,
                                            unsigned threads) {
-  if (bound_ds_ == &ds) return *bound_fs_;
+  if (const FeatureSet* fs = bound_.find(ds)) return *fs;
   return cfg_.cache->features(ds, cfg_.feature_opt, cfg_.normalization,
                               cfg_.vocab_seed, threads);
 }
 
 void Ir2vecDetector::prepare(const datasets::Dataset& ds, unsigned threads) {
-  bound_fs_ = &cfg_.cache->features(ds, cfg_.feature_opt, cfg_.normalization,
-                                    cfg_.vocab_seed, threads);
-  bound_ds_ = &ds;
+  bound_.bind(ds, cfg_.cache->features(ds, cfg_.feature_opt,
+                                       cfg_.normalization, cfg_.vocab_seed,
+                                       threads));
 }
 
 void Ir2vecDetector::discard(const datasets::Dataset& ds) {
   cfg_.cache->erase(ds);
-  if (bound_ds_ == &ds) {
-    bound_ds_ = nullptr;
-    bound_fs_ = nullptr;
-  }
+  bound_.unbind(ds);
 }
 
 void Ir2vecDetector::fit(const datasets::Dataset& ds,
@@ -215,7 +212,7 @@ void Ir2vecDetector::fit(const datasets::Dataset& ds,
                          std::span<const std::size_t> y, const FitSpec& spec) {
   MPIDETECT_EXPECTS(train_idx.size() == y.size());
   prepare(ds, spec.threads);
-  const FeatureSet& fs = *bound_fs_;
+  const FeatureSet& fs = features(ds, spec.threads);
   std::vector<std::vector<double>> X;
   X.reserve(train_idx.size());
   for (const std::size_t i : train_idx) X.push_back(fs.X[i]);
@@ -268,8 +265,7 @@ void Ir2vecDetector::fit_stream(const corpus::CaseSource& src,
   }
   model_ = train_ir2vec(X, {y.begin(), y.end()}, o);
   multiclass_ = false;
-  bound_ds_ = nullptr;
-  bound_fs_ = nullptr;
+  bound_.clear();
 }
 
 Verdict Ir2vecDetector::evaluate(const datasets::Dataset& ds,
@@ -348,28 +344,23 @@ EvalOptions GnnDetector::eval_defaults() const {
 void GnnDetector::use_cache(const std::shared_ptr<EncodingCache>& cache) {
   if (cache && cache != cfg_.cache) {
     cfg_.cache = cache;
-    bound_ds_ = nullptr;
-    bound_gs_ = nullptr;
+    bound_.clear();
   }
 }
 
 const GraphSet& GnnDetector::graphs(const datasets::Dataset& ds,
                                     unsigned threads) {
-  if (bound_ds_ == &ds) return *bound_gs_;
+  if (const GraphSet* gs = bound_.find(ds)) return *gs;
   return cfg_.cache->graphs(ds, cfg_.graph_opt, threads);
 }
 
 void GnnDetector::prepare(const datasets::Dataset& ds, unsigned threads) {
-  bound_gs_ = &cfg_.cache->graphs(ds, cfg_.graph_opt, threads);
-  bound_ds_ = &ds;
+  bound_.bind(ds, cfg_.cache->graphs(ds, cfg_.graph_opt, threads));
 }
 
 void GnnDetector::discard(const datasets::Dataset& ds) {
   cfg_.cache->erase(ds);
-  if (bound_ds_ == &ds) {
-    bound_ds_ = nullptr;
-    bound_gs_ = nullptr;
-  }
+  bound_.unbind(ds);
 }
 
 void GnnDetector::fit(const datasets::Dataset& ds,
@@ -380,7 +371,7 @@ void GnnDetector::fit(const datasets::Dataset& ds,
     throw ContractViolation("GnnDetector: multi-class training unsupported");
   }
   prepare(ds, spec.threads);
-  const GraphSet& gs = *bound_gs_;
+  const GraphSet& gs = graphs(ds, spec.threads);
   std::vector<programl::ProgramGraph> graphs;
   graphs.reserve(train_idx.size());
   for (const std::size_t i : train_idx) graphs.push_back(gs.graphs[i]);
@@ -417,6 +408,7 @@ void GnnDetector::fit_stream(const corpus::CaseSource& src,
       spec.threads != 0 ? spec.threads : ml::kernels::kernel_threads());
   StreamGraphSource graphs(src, train_idx, cfg_.graph_opt);
   model_->fit(graphs, y);
+  bound_.clear();
 }
 
 Verdict GnnDetector::evaluate(const datasets::Dataset& ds, std::size_t idx) {

@@ -135,8 +135,17 @@ class Detector {
   /// that do not encode). A cache set at construction wins.
   virtual void use_cache(const std::shared_ptr<EncodingCache>& cache);
 
-  /// Pre-encodes `ds` so later fit / evaluate calls against it are
-  /// cheap. No-op for the expert tools.
+  /// \brief Pre-encodes `ds` so later fit / evaluate calls against it
+  /// are cheap. No-op for the expert tools.
+  ///
+  /// The learned detectors also bind `ds` by address: until discard(ds),
+  /// use_cache(), load_state() or fit_stream(), evaluate(),
+  /// run_indexed() and fit() on `ds` take its encoding from the binding
+  /// instead of re-hashing the whole dataset into the shared cache. Any
+  /// number of datasets can be bound at once. A prepared Dataset must
+  /// therefore be discard()ed before it is mutated or destroyed if this
+  /// detector will later evaluate() a dataset at that address without a
+  /// fresh prepare() (calling prepare() again always re-resolves).
   virtual void prepare(const datasets::Dataset& ds, unsigned threads = 0);
 
   /// Trains on the `train_idx` rows of `ds` with labels `y` (parallel to
@@ -170,9 +179,10 @@ class Detector {
   /// Verdict for one case of a prepared dataset.
   virtual Verdict evaluate(const datasets::Dataset& ds, std::size_t idx) = 0;
 
-  /// Drops any cached state the detector holds for `ds` (no-op for
-  /// detectors that do not encode). run() calls this on its ad-hoc
-  /// batch so repeated batched inference does not grow the cache.
+  /// Drops any cached state the detector holds for `ds`: its encodings
+  /// in the shared cache and its binding (no-op for detectors that do
+  /// not encode). run() calls this on its ad-hoc batch so repeated
+  /// batched inference does not grow the cache.
   virtual void discard(const datasets::Dataset& ds);
 
   /// \brief Serializes the detector's configuration and trained state.
@@ -202,14 +212,70 @@ class Detector {
 
   /// Batched verdicts for selected cases of a PREPARED dataset — the
   /// serving hot path (serve::Server). Unlike run(), which re-encodes
-  /// its ad-hoc batch from scratch, this resolves encodings through the
-  /// shared EncodingCache (warm across requests and, with a spill dir,
-  /// across processes) and only ever gathers per-case views. The GNN
-  /// overrides it to push the selection through GraphBatch mini-batch
-  /// inference; verdicts are identical to per-case evaluate() calls,
-  /// which the base implementation performs.
+  /// its ad-hoc batch from scratch, this takes the encoding bound by
+  /// prepare() (falling back to the shared EncodingCache, warm across
+  /// requests and, with a spill dir, across processes) and only ever
+  /// gathers per-case views. The GNN overrides it to push the selection
+  /// through GraphBatch mini-batch inference; verdicts are identical to
+  /// per-case evaluate() calls, which the base implementation performs.
   virtual std::vector<Verdict> run_indexed(const datasets::Dataset& ds,
                                            std::span<const std::size_t> idx);
+};
+
+/// prepare() on construction, discard() on destruction: the lifetime of
+/// an ad-hoc batch or stream window, released even when evaluation
+/// throws.
+class ScopedPrepare {
+ public:
+  ScopedPrepare(Detector& det, const datasets::Dataset& ds,
+                unsigned threads = 0)
+      : det_(det), ds_(ds) {
+    det_.prepare(ds_, threads);
+  }
+  ~ScopedPrepare() { det_.discard(ds_); }
+  ScopedPrepare(const ScopedPrepare&) = delete;
+  ScopedPrepare& operator=(const ScopedPrepare&) = delete;
+
+ private:
+  Detector& det_;
+  const datasets::Dataset& ds_;
+};
+
+/// A learned detector's prepared datasets, each bound by address (and
+/// case count) to its encoding in the shared cache, so per-case lookups
+/// skip EncodingCache's whole-dataset fingerprint. Mutated only from the
+/// single-threaded entry points (prepare/fit/discard/use_cache/
+/// load_state/fit_stream); concurrent evaluate() calls only read it.
+template <class Encoding>
+class EncodingBindings {
+ public:
+  /// The encoding bound to `ds`, or nullptr when `ds` is not bound.
+  const Encoding* find(const datasets::Dataset& ds) const {
+    for (const Binding& b : bindings_) {
+      if (b.ds == &ds && b.size == ds.size()) return b.enc;
+    }
+    return nullptr;
+  }
+
+  /// Binds `ds` to `enc`, replacing any earlier binding at that address.
+  void bind(const datasets::Dataset& ds, const Encoding& enc) {
+    unbind(ds);
+    bindings_.push_back({&ds, ds.size(), &enc});
+  }
+
+  void unbind(const datasets::Dataset& ds) {
+    std::erase_if(bindings_, [&](const Binding& b) { return b.ds == &ds; });
+  }
+
+  void clear() { bindings_.clear(); }
+
+ private:
+  struct Binding {
+    const datasets::Dataset* ds;
+    std::size_t size;
+    const Encoding* enc;
+  };
+  std::vector<Binding> bindings_;
 };
 
 /// Shared construction-time configuration for the registry factories.
@@ -288,11 +354,7 @@ class Ir2vecDetector final : public Detector {
   DetectorConfig cfg_;
   std::optional<TrainedIr2vec> model_;
   bool multiclass_ = false;
-  /// Memo of the last prepared/fitted dataset's encoding, so evaluate()
-  /// does not re-resolve through the cache per case. Set only from the
-  /// single-threaded prepare()/fit() entry points.
-  const datasets::Dataset* bound_ds_ = nullptr;
-  const FeatureSet* bound_fs_ = nullptr;
+  EncodingBindings<FeatureSet> bound_;
 };
 
 /// The ProGraML + GATv2 detector (Figure 5) as a Detector.
@@ -359,8 +421,7 @@ class GnnDetector final : public Detector {
   std::unique_ptr<ml::GnnModel> model_;
   bool quantized_ = false;
   std::unique_ptr<ml::QuantizedGnnModel> qmodel_;
-  const datasets::Dataset* bound_ds_ = nullptr;
-  const GraphSet* bound_gs_ = nullptr;
+  EncodingBindings<GraphSet> bound_;
 };
 
 /// String-keyed factory registry. The six paper detectors are

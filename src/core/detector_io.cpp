@@ -83,8 +83,7 @@ void Ir2vecDetector::load_state(io::Reader& r) {
   cfg_.ir2vec.seed = r.u64();
   multiclass_ = r.u8() != 0;
   model_ = io::load_trained_ir2vec(r);
-  bound_ds_ = nullptr;
-  bound_fs_ = nullptr;
+  bound_.clear();
 }
 
 // ---- GnnDetector ------------------------------------------------------------
@@ -108,8 +107,7 @@ void GnnDetector::load_state(io::Reader& r) {
   model_ = io::load_gnn_model(r);
   cfg_.gnn.cfg = model_->config();
   qmodel_.reset();
-  bound_ds_ = nullptr;
-  bound_gs_ = nullptr;
+  bound_.clear();
 }
 
 // ---- DetectorRegistry bundles -----------------------------------------------

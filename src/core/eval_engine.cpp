@@ -248,7 +248,8 @@ void EvalEngine::evaluate_stream(Detector& det, const corpus::CaseSource& src,
     win.name = src.name() + ":window";
     win.cases.reserve(end - b);
     for (std::size_t k = b; k < end; ++k) win.cases.push_back(src.load(idx[k]));
-    det.prepare(win, threads_);
+    // Window encodings must not accumulate, even when evaluate() throws.
+    const ScopedPrepare prepared(det, win, threads_);
     if (det.parallel_eval_safe()) {
       parallel_for(win.size(), threads_, [&](std::size_t j) {
         verdicts[idx[b + j]] = det.evaluate(win, j);
@@ -258,7 +259,6 @@ void EvalEngine::evaluate_stream(Detector& det, const corpus::CaseSource& src,
         verdicts[idx[b + j]] = det.evaluate(win, j);
       }
     }
-    det.discard(win);  // window encodings must not accumulate
   }
 }
 

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <optional>
+#include <sstream>
+
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
+#include "corpus/corpus.hpp"
 #include "datasets/corrbench.hpp"
 #include "datasets/mbi.hpp"
+#include "datasets/spec.hpp"
+#include "io/serialize.hpp"
 #include "ml/kfold.hpp"
 
 namespace mpidetect::core {
@@ -373,6 +380,26 @@ TEST(Detector, RunUnfittedLearnedDetectorThrows) {
   EXPECT_THROW(det->run(std::span(ds.cases.data(), 1)), ContractViolation);
 }
 
+TEST(Detector, ThrowingRunLeavesNoBatchEncodingInTheCache) {
+  const auto ds = small_mbi();
+  DetectorConfig cfg = fast_config();
+  cfg.cache = std::make_shared<EncodingCache>();
+  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  EXPECT_THROW(det->run(std::span(ds.cases.data(), 4)), ContractViolation);
+  EXPECT_EQ(cfg.cache->feature_set_count(), 0u);
+}
+
+TEST(EvalEngine, ThrowingStreamedSweepLeavesNoWindowEncodings) {
+  const auto ds = small_mbi();
+  const corpus::DatasetSource src(ds);
+  EvalEngine engine(2);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
+  StreamOptions sopts;
+  sopts.window = 16;
+  EXPECT_THROW(engine.sweep_stream(*det, src, sopts), ContractViolation);
+  EXPECT_EQ(engine.cache()->feature_set_count(), 0u);
+}
+
 TEST(Detector, BatchedRunMatchesSweep) {
   const auto ds = small_mbi();
   auto det = DetectorRegistry::global().create("parcoach");
@@ -394,6 +421,205 @@ TEST(Detector, FittedDetectorClassifiesHeldOutBatch) {
   ASSERT_EQ(verdicts.size(), 8u);
   for (const auto& v : verdicts) EXPECT_TRUE(v.conclusive());
 }
+
+// ---- dataset bindings -------------------------------------------------------
+//
+// A learned detector binds every prepared dataset to its encoding, so
+// evaluate()/run_indexed() skip the cache's whole-dataset fingerprint.
+// These tests pin that the bindings never change a verdict (against a
+// fresh detector that prepared only the dataset asked about, IEEE-754
+// confidences included) and that every entry point that must drop them
+// does.
+
+std::string saved_state(const Detector& det) {
+  std::ostringstream os;
+  io::Writer w(os);
+  det.save_state(w);
+  return os.str();
+}
+
+void restore_state(Detector& det, const std::string& state) {
+  std::istringstream is(state);
+  io::Reader r(is, "test state");
+  det.load_state(r);
+}
+
+void expect_identical(const std::vector<Verdict>& got,
+                      const std::vector<Verdict>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].outcome, want[i].outcome) << what << " #" << i;
+    EXPECT_EQ(got[i].predicted_label, want[i].predicted_label)
+        << what << " #" << i;
+    ASSERT_EQ(got[i].confidence.has_value(), want[i].confidence.has_value())
+        << what << " #" << i;
+    if (got[i].confidence) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*got[i].confidence),
+                std::bit_cast<std::uint64_t>(*want[i].confidence))
+          << what << " #" << i;
+    }
+  }
+}
+
+class Bindings : public ::testing::TestWithParam<const char*> {
+ protected:
+  Bindings()
+      : a_(datasets::make_dataset("mbi:0.04@3")),
+        b_(datasets::make_dataset("corr:0.15@3")),
+        c_(datasets::make_dataset("mbi:0.03@5")) {
+    cfg_.cache = cache_;
+    det_ = DetectorRegistry::global().create(key(), cfg_);
+    EvalEngine engine(2, cache_);
+    engine.fit_full(*det_, a_);
+    state_ = saved_state(*det_);
+  }
+
+  const char* key() const { return GetParam(); }
+
+  std::size_t encodings(const EncodingCache& cache) const {
+    return std::string_view(key()) == "gnn" ? cache.graph_set_count()
+                                            : cache.feature_set_count();
+  }
+
+  /// Verdicts of a fresh detector (own cache) carrying the trained
+  /// state, which prepared `ds` alone.
+  std::vector<Verdict> reference(const datasets::Dataset& ds,
+                                 std::span<const std::size_t> idx) const {
+    auto fresh = DetectorRegistry::global().create(key(), fast_config());
+    restore_state(*fresh, state_);
+    fresh->prepare(ds);
+    return fresh->run_indexed(ds, idx);
+  }
+
+  void expect_matches_reference(Detector& det, const datasets::Dataset& ds,
+                                const std::string& what) const {
+    std::vector<std::size_t> idx(ds.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    expect_identical(det.run_indexed(ds, idx), reference(ds, idx), what);
+  }
+
+  void prepare_all() {
+    for (const auto* ds : {&a_, &b_, &c_}) det_->prepare(*ds);
+  }
+
+  datasets::Dataset a_, b_, c_;
+  std::shared_ptr<EncodingCache> cache_ = std::make_shared<EncodingCache>();
+  DetectorConfig cfg_ = fast_config();
+  std::unique_ptr<Detector> det_;
+  std::string state_;
+};
+
+TEST_P(Bindings, InterleavedBatchesMatchFreshDetectors) {
+  prepare_all();
+  const datasets::Dataset* order[] = {&a_, &b_, &c_, &a_, &c_, &b_};
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (const auto* ds : order) {
+      const std::vector<std::size_t> idx{round, round + 7,
+                                         ds->size() - 1 - round};
+      expect_identical(det_->run_indexed(*ds, idx), reference(*ds, idx),
+                       ds->name);
+      expect_identical({det_->evaluate(*ds, round)},
+                       reference(*ds, std::vector<std::size_t>{round}),
+                       ds->name + " evaluate");
+    }
+  }
+  EXPECT_EQ(encodings(*cache_), 3u);
+}
+
+TEST_P(Bindings, DiscardDropsOnlyThatBinding) {
+  prepare_all();
+  det_->discard(a_);
+  EXPECT_EQ(encodings(*cache_), 2u);
+  expect_matches_reference(*det_, b_, "B after discard(A)");
+  expect_matches_reference(*det_, c_, "C after discard(A)");
+  EXPECT_EQ(encodings(*cache_), 2u);
+  // A itself resolves through the cache again.
+  expect_matches_reference(*det_, a_, "A after discard(A)");
+  EXPECT_EQ(encodings(*cache_), 3u);
+}
+
+TEST_P(Bindings, UseCacheReresolvesThroughTheNewCache) {
+  prepare_all();
+  const auto other = std::make_shared<EncodingCache>();
+  det_->use_cache(other);
+  std::size_t expected = 0;
+  for (const auto* ds : {&a_, &b_, &c_}) {
+    expect_matches_reference(*det_, *ds, ds->name + " after use_cache");
+    EXPECT_EQ(encodings(*other), ++expected);
+  }
+}
+
+TEST_P(Bindings, LoadStateReresolvesUnderTheLoadedEncoding) {
+  // Bound under a different encoding than the bundle was trained with;
+  // the loaded state's options must win for every bound dataset.
+  DetectorConfig cfg = fast_config();
+  cfg.normalization = ir2vec::Normalization::None;
+  cfg.graph_opt = passes::OptLevel::Os;
+  cfg.cache = std::make_shared<EncodingCache>();
+  auto det = DetectorRegistry::global().create(key(), cfg);
+  for (const auto* ds : {&a_, &b_, &c_}) det->prepare(*ds);
+  EXPECT_EQ(encodings(*cfg.cache), 3u);
+  restore_state(*det, state_);
+  for (const auto* ds : {&a_, &b_, &c_}) {
+    expect_matches_reference(*det, *ds, ds->name + " after load_state");
+  }
+  EXPECT_EQ(encodings(*cfg.cache), 6u);
+}
+
+TEST_P(Bindings, FitStreamDropsEveryBinding) {
+  // A dataset slot whose content is replaced (same address, same size)
+  // without a discard(): only a dropped binding notices.
+  std::optional<datasets::Dataset> slot(datasets::make_dataset("mbi:0.03@8"));
+  const auto replacement = datasets::make_dataset("mbi:0.03@9");
+  ASSERT_EQ(slot->size(), replacement.size());
+  prepare_all();
+  det_->prepare(*slot);
+  const std::size_t before = encodings(*cache_);
+
+  const corpus::DatasetSource src(a_);
+  std::vector<std::size_t> idx(a_.size()), y(a_.size());
+  for (std::size_t i = 0; i < a_.size(); ++i) {
+    idx[i] = i;
+    y[i] = a_.cases[i].incorrect ? 1 : 0;
+  }
+  det_->fit_stream(src, idx, y, FitSpec{}, 16);
+  slot.emplace(replacement);
+
+  expect_matches_reference(*det_, *slot, "replaced slot after fit_stream");
+  EXPECT_EQ(encodings(*cache_), before + 1);  // re-resolved, not stale
+  for (const auto* ds : {&a_, &b_, &c_}) {
+    expect_matches_reference(*det_, *ds, ds->name + " after fit_stream");
+  }
+}
+
+TEST_P(Bindings, PrepareRebindsAReusedAddress) {
+  std::optional<datasets::Dataset> slot(datasets::make_dataset("mbi:0.03@8"));
+  det_->prepare(*slot);
+  slot.emplace(datasets::make_dataset("mbi:0.03@9"));
+  det_->prepare(*slot);
+  expect_matches_reference(*det_, *slot, "re-prepared slot");
+}
+
+TEST_P(Bindings, UnpreparedDatasetResolvesThroughTheCache) {
+  const auto d = datasets::make_dataset("corr:0.1@11");
+  const std::size_t before = encodings(*cache_);
+  expect_matches_reference(*det_, d, "never prepared");
+  EXPECT_EQ(encodings(*cache_), before + 1);
+}
+
+TEST_P(Bindings, GrownDatasetFallsBackToTheCache) {
+  datasets::Dataset d = datasets::make_dataset("mbi:0.03@5");
+  det_->prepare(d);
+  d.cases.push_back(b_.cases.front());  // the case count no longer matches
+  expect_matches_reference(*det_, d, "grown after prepare");
+}
+
+INSTANTIATE_TEST_SUITE_P(LearnedDetectors, Bindings,
+                         ::testing::Values("ir2vec", "gnn"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace mpidetect::core

@@ -653,6 +653,72 @@ TEST(ServerTest, StatsOverTheWire) {
   server.stop();
 }
 
+TEST(ServerTest, MixedSpecTrafficMatchesReference) {
+  // Interleaved traffic over three dataset specs and both models through
+  // one daemon: batches keep switching dataset, and every verdict must
+  // still equal a fresh detector that prepared only that dataset.
+  const std::vector<std::string> specs{kSpec, "corr:0.05@7", "mbi:0.03@11"};
+  struct Request {
+    std::string model, spec;
+    std::size_t index;
+  };
+  std::vector<Request> requests;
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (const auto& spec : specs) {
+      for (const char* model : {"gnn", "ir2vec"}) {
+        requests.push_back({model, spec, 3 * k + 1});
+      }
+    }
+  }
+  std::map<std::string, datasets::Dataset> data;
+  for (const auto& spec : specs) {
+    data.emplace(spec, datasets::make_dataset(spec));
+  }
+  std::vector<core::Verdict> expected;
+  for (const auto& r : requests) {
+    core::DetectorConfig cfg;
+    cfg.cache = std::make_shared<core::EncodingCache>();
+    auto ref = core::DetectorRegistry::global().load_bundle(
+        r.model == "gnn" ? bundles().gnn : bundles().ir2vec, cfg);
+    const auto& ds = data.at(r.spec);
+    ref->prepare(ds, 2);
+    const std::size_t lone[] = {r.index};
+    expected.push_back(ref->run_indexed(ds, lone).front());
+  }
+
+  auto opts = server_options();
+  opts.queue_capacity = requests.size();
+  serve::Server server(opts);
+  server.start();
+  Conn conn(server);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& r = requests[i];
+    serve::write_frame(*conn.client,
+                       serve::Submit{i + 1, r.model, r.spec, r.index});
+  }
+  std::map<std::uint64_t, serve::WireVerdict> got;
+  while (got.size() < requests.size()) {
+    const auto v = std::get<serve::WireVerdict>(conn.read());
+    got.emplace(v.request_id, v);
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& v = got.at(i + 1);
+    const std::string what = requests[i].model + " " + requests[i].spec +
+                             " #" + std::to_string(requests[i].index);
+    EXPECT_EQ(static_cast<core::Verdict::Outcome>(v.outcome),
+              expected[i].outcome)
+        << what;
+    EXPECT_EQ(v.confidence, expected[i].confidence) << what;
+  }
+
+  serve::write_frame(*conn.client, serve::StatsReq{});
+  const auto stats = std::get<serve::Stats>(conn.read());
+  EXPECT_EQ(stats.served, requests.size());
+  EXPECT_EQ(stats.datasets_materialized, 3u);
+  conn.close();
+  server.stop();
+}
+
 TEST(ServerTest, RejectsCorruptBundleAtStartup) {
   TempDir dir("corrupt_bundle");
   const std::string path = dir.file("bad.mpib");
