@@ -30,10 +30,6 @@ namespace mpidetect::corpus {
 class CaseSource;
 }  // namespace mpidetect::corpus
 
-namespace mpidetect::ml {
-class QuantizedGnnModel;
-}  // namespace mpidetect::ml
-
 namespace mpidetect::core {
 
 enum class DetectorKind : std::uint8_t {
@@ -405,22 +401,11 @@ class GnnDetector final : public Detector {
 
   const DetectorConfig& config() const { return cfg_; }
 
-  /// Routes the serving entry points run()/run_indexed() through the
-  /// int8/bf16 quantized image of the fitted model (ml/quant.hpp). The
-  /// protocol path — evaluate() — always stays full precision, so CV
-  /// numbers are never affected. The image is built lazily from the
-  /// fitted weights and invalidated by fit()/fit_stream()/load_state().
-  void set_quantized_inference(bool on);
-  bool quantized_inference() const { return quantized_; }
-
  private:
   const GraphSet& graphs(const datasets::Dataset& ds, unsigned threads);
-  const ml::QuantizedGnnModel& qmodel();
 
   DetectorConfig cfg_;
   std::unique_ptr<ml::GnnModel> model_;
-  bool quantized_ = false;
-  std::unique_ptr<ml::QuantizedGnnModel> qmodel_;
   EncodingBindings<GraphSet> bound_;
 };
 

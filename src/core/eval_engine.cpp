@@ -187,7 +187,7 @@ EvalReport EvalEngine::kfold(Detector& det, const datasets::Dataset& ds,
 
   if (opts.multiclass) {
     // The per-label protocol trains folds serially with the detector's
-    // own thread budget (matching the legacy ir2vec_per_label loop).
+    // own thread budget (matching the original per-label protocol).
     for (std::size_t f = 0; f < folds.size(); ++f) {
       run_fold(f, FitSpec{f, 0, true});
     }

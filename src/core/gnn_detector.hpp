@@ -1,12 +1,11 @@
-// The GNN detector (Figure 5) under the paper's evaluation protocols:
-// Intra / Mix 10-fold cross-validation and Cross suite-transfer, all on
-// binary correct/incorrect labels. Folds train in parallel (each fold
-// owns an independent model).
+// The GNN detector's (Figure 5) options. The paper's protocols run it
+// as core::GnnDetector through core::EvalEngine (core/eval_engine.hpp),
+// on binary correct/incorrect labels. Fold parallelism is EvalEngine's
+// (each fold owns an independent model).
 #pragma once
 
 #include "core/features.hpp"
 #include "ml/gnn.hpp"
-#include "ml/metrics.hpp"
 
 namespace mpidetect::core {
 
@@ -14,15 +13,6 @@ struct GnnOptions {
   ml::GnnConfig cfg;       // classes is overwritten per protocol
   int folds = 10;
   std::uint64_t seed = 2;
-  unsigned threads = 0;    // folds in parallel
 };
-
-/// Deprecated shims over core::EvalEngine (kfold / cross); new code
-/// should construct a GnnDetector via core::DetectorRegistry and use
-/// the engine directly (core/eval_engine.hpp).
-ml::Confusion gnn_intra(const GraphSet& gs, const GnnOptions& opts);
-
-ml::Confusion gnn_cross(const GraphSet& train, const GraphSet& valid,
-                        const GnnOptions& opts);
 
 }  // namespace mpidetect::core

@@ -16,7 +16,7 @@
 // discipline — they vectorize only across independent output elements
 // (never across a reduction) and use separate multiply and add
 // instructions (never FMA), so every dispatch target is bit-identical
-// to the scalar reference on the fp path.
+// to the scalar reference.
 #pragma once
 
 #include <array>
@@ -103,9 +103,7 @@ class ScopedForceScalar {
 /// independent k-ascending chains (the matmul_nt micro-kernel).
 /// bias_elu_row: dst[j] = elu(src[j] + bias[j]) with the scalar
 /// std::expm1 on negative lanes. gatv2_scores4: four edges' attention
-/// scores, lanes independent, k-ascending. qmatmul_row: one activation
-/// row times an int8 weight panel, float accumulation, j-independent —
-/// the quantized serving path (ml/quant.hpp).
+/// scores, lanes independent, k-ascending.
 struct KernelFns {
   void (*axpy8)(double* o, const double* const* b, const double* a,
                 std::size_t n);
@@ -122,8 +120,6 @@ struct KernelFns {
   void (*gatv2_scores4)(const double* const* l, const double* const* r,
                         const double* av, double slope, std::size_t d,
                         double* out);
-  void (*qmatmul_row)(float* o, const float* a, const std::int8_t* w,
-                      std::size_t K, std::size_t M);
 };
 
 /// The kernel table for active_isa() (honors force-scalar overrides).
@@ -145,7 +141,7 @@ const KernelFns* simd_table_for(Isa isa);
 
 // ---- per-op profiling counters ----------------------------------------------
 
-/// The profiled operation classes of the autograd tape + serving path.
+/// The profiled operation classes of the autograd tape and inference.
 /// Nested ops (matmul_tn packs through matmul; backward fused ops call
 /// matmul) are attributed to the OUTERMOST op only.
 enum class Op : std::uint8_t {
@@ -157,7 +153,7 @@ enum class Op : std::uint8_t {
   ScatterAddScaled,
   GatherRows,
   SegmentSoftmax,
-  QMatmul,
+  QMatmul,  // reserved row, always 0: no kernel counts it
 };
 inline constexpr std::size_t kNumOps = 9;
 

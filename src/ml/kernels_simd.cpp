@@ -6,7 +6,7 @@
 //
 // Bit-identity discipline (the contract tests/batched_gnn_test.cpp
 // enforces): every kernel vectorizes ONLY across independent output
-// elements — lanes are distinct j (axpy/bias_elu/qmatmul), distinct
+// elements — lanes are distinct j (axpy/bias_elu), distinct
 // output columns (dot4), or distinct edges (gatv2_scores4) — and each
 // lane performs exactly the scalar reference's operations in the same
 // order, as separate multiply and add instructions. FMA is never used
@@ -17,9 +17,9 @@
 // 16-byte, not 32-byte, alignment, and callers may hand arbitrarily
 // offset row slices (docs/PERFORMANCE.md, "Alignment").
 //
-// NEON (aarch64): float64x2_t covers the axpy family,
-// add1 and qmatmul_row; dot4 / bias_elu_row / gatv2_scores4 fall back
-// to scalar (gather-heavy lane packing does not pay at 2-wide).
+// NEON (aarch64): float64x2_t covers the axpy family and add1;
+// dot4 / bias_elu_row / gatv2_scores4 fall back to scalar
+// (gather-heavy lane packing does not pay at 2-wide).
 #include "ml/kernels.hpp"
 
 #include <cmath>
@@ -311,35 +311,9 @@ __attribute__((target("avx2"))) void gatv2_scores4_avx2(
   _mm256_storeu_pd(out, acc);
 }
 
-__attribute__((target("avx2"))) void qmatmul_row_avx2(float* o, const float* a,
-                                                      const std::int8_t* w,
-                                                      std::size_t K,
-                                                      std::size_t M) {
-  std::size_t j = 0;
-  for (; j + 8 <= M; j += 8) {
-    const std::int8_t* wj = w + j;
-    __m256 acc = _mm256_setzero_ps();
-    for (std::size_t k = 0; k < K; ++k) {
-      const __m128i bytes = _mm_loadl_epi64(
-          reinterpret_cast<const __m128i*>(wj + k * M));
-      const __m256 wf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(bytes));
-      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a[k]), wf));
-    }
-    _mm256_storeu_ps(o + j, acc);
-  }
-  for (; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
 constexpr KernelFns kAvx2Fns = {
     axpy8_avx2,   axpy4_avx2,        axpy4x2_avx2,       axpy1_avx2,
     add1_avx2,    dot4_avx2,         bias_elu_row_avx2,  gatv2_scores4_avx2,
-    qmatmul_row_avx2,
 };
 
 }  // namespace
@@ -477,31 +451,6 @@ void gatv2_scores4_scalar_ref(const double* const* l, const double* const* r,
   }
 }
 
-void qmatmul_row_neon(float* o, const float* a, const std::int8_t* w,
-                      std::size_t K, std::size_t M) {
-  std::size_t j = 0;
-  // The 8-byte int8 load uses only its low half; bounding the tile at
-  // j + 8 keeps the tail bytes inside the weight buffer.
-  for (; j + 8 <= M; j += 4) {
-    const std::int8_t* wj = w + j;
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    for (std::size_t k = 0; k < K; ++k) {
-      const int8x8_t bytes = vld1_s8(wj + k * M);
-      const int32x4_t wi = vmovl_s16(vget_low_s16(vmovl_s8(bytes)));
-      acc = vaddq_f32(acc,
-                      vmulq_f32(vdupq_n_f32(a[k]), vcvtq_f32_s32(wi)));
-    }
-    vst1q_f32(o + j, acc);
-  }
-  for (; j < M; ++j) {
-    float s = 0.0f;
-    for (std::size_t k = 0; k < K; ++k) {
-      s += a[k] * static_cast<float>(w[k * M + j]);
-    }
-    o[j] = s;
-  }
-}
-
 void axpy4x2_neon(double* o0, double* o1, const double* const* b,
                   const double* a0, const double* a1, std::size_t n) {
   axpy4_neon(o0, b, a0, n);
@@ -511,7 +460,7 @@ void axpy4x2_neon(double* o0, double* o1, const double* const* b,
 constexpr KernelFns kNeonFns = {
     axpy8_neon, axpy4_neon,              axpy4x2_neon,
     axpy1_neon, add1_neon,               dot4_scalar_ref,
-    bias_elu_row_scalar_ref, gatv2_scores4_scalar_ref, qmatmul_row_neon,
+    bias_elu_row_scalar_ref, gatv2_scores4_scalar_ref,
 };
 
 }  // namespace

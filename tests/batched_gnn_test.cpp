@@ -12,15 +12,14 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
-#include <limits>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
 #include "core/features.hpp"
+#include "core/perf_bench.hpp"
 #include "datasets/mbi.hpp"
 #include "ml/gnn.hpp"
 #include "ml/kernels.hpp"
-#include "ml/quant.hpp"
 #include "progmodel/lower.hpp"
 #include "programl/graph.hpp"
 
@@ -500,19 +499,13 @@ TEST(GraphBatchEdge, MixedSingleNodeAndRealGraphsAgreeWithPerGraph) {
 // ---- SIMD dispatch: every target bit-identical to scalar --------------------
 
 // The wall the kernel-dispatch contract leans on (ml/kernels.hpp):
-// every fp inner kernel, on every dispatch target this build carries,
+// every inner kernel, on every dispatch target this build carries,
 // produces bit-identical results to the scalar reference — including on
 // misaligned buffers (Matrix storage guarantees 8-byte alignment only),
 // denormal inputs, and magnitudes near overflow.
 
 std::uint64_t double_bits(double x) {
   std::uint64_t b;
-  std::memcpy(&b, &x, sizeof(b));
-  return b;
-}
-
-std::uint32_t float_bits(float x) {
-  std::uint32_t b;
   std::memcpy(&b, &x, sizeof(b));
   return b;
 }
@@ -641,42 +634,6 @@ TEST(SimdDispatch, RowKernelsBitIdenticalAcrossTargetsMisaligned) {
   }
 }
 
-TEST(SimdDispatch, QmatmulRowBitIdenticalAcrossTargetsMisaligned) {
-  Rng rng(13);
-  for (const std::size_t K : {std::size_t{1}, std::size_t{5}, std::size_t{16},
-                              std::size_t{33}}) {
-    for (const std::size_t M : {std::size_t{1}, std::size_t{7}, std::size_t{8},
-                                std::size_t{9}, std::size_t{24},
-                                std::size_t{65}}) {
-      // Misaligned float buffers (data()+1: 4-byte aligned only) and an
-      // activation row mixing denormals and large magnitudes.
-      std::vector<float> a(K + 1), out_ref(M + 1), out_tgt(M + 1);
-      std::vector<std::int8_t> w(K * M);
-      for (std::size_t k = 0; k < K; ++k) {
-        const double v = rng.normal();
-        a[k + 1] = static_cast<float>(k % 4 == 0   ? v * 1e30
-                                      : k % 4 == 1 ? v * 1e-42
-                                                   : v);
-      }
-      for (auto& x : w) {
-        x = static_cast<std::int8_t>(
-            static_cast<int>(rng.uniform() * 255.0) - 127);
-      }
-      const kernels::KernelFns& ref = kernels::fns_for(kernels::Isa::Scalar);
-      for (const kernels::Isa isa : kAllTargets) {
-        kernels::fns_for(isa).qmatmul_row(out_tgt.data() + 1, a.data() + 1,
-                                          w.data(), K, M);
-        ref.qmatmul_row(out_ref.data() + 1, a.data() + 1, w.data(), K, M);
-        for (std::size_t j = 0; j < M; ++j) {
-          ASSERT_EQ(float_bits(out_ref[j + 1]), float_bits(out_tgt[j + 1]))
-              << "qmatmul_row isa=" << kernels::isa_name(isa) << " K=" << K
-              << " M=" << M << " j=" << j;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdDispatch, ForcedScalarFullModelBitIdentical) {
   // The whole-model wall: predict_proba under the live dispatch target
   // must equal the forced-scalar run bit for bit (not NEAR — the SIMD
@@ -724,202 +681,6 @@ TEST(SimdDispatch, ThreadCountInvariantFullModel) {
       ASSERT_EQ(double_bits(serial[i][j]), double_bits(wide[i][j]));
     }
   }
-}
-
-// ---- quantized serving image (ml/quant.hpp) --------------------------------
-
-TEST(QuantizedInference, Bf16RoundIsRoundToNearestEven) {
-  EXPECT_EQ(bf16_round(0.0f), 0.0f);
-  EXPECT_EQ(bf16_round(1.0f), 1.0f);
-  // 1 + 2^-7 is exactly representable in bf16 (7 mantissa bits).
-  EXPECT_EQ(bf16_round(1.0078125f), 1.0078125f);
-  // 1 + 2^-8 is the exact halfway point: ties-to-even keeps 1.0.
-  EXPECT_EQ(bf16_round(1.00390625f), 1.0f);
-  // Just above halfway rounds up to the next representable step.
-  EXPECT_EQ(bf16_round(1.004f), 1.0078125f);
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(bf16_round(inf), inf);
-  EXPECT_EQ(bf16_round(-inf), -inf);
-  EXPECT_TRUE(std::isnan(bf16_round(std::numeric_limits<float>::quiet_NaN())));
-  // Denormal floats survive (flushed toward bf16's coarser grid, never
-  // to garbage).
-  const float denorm = 1e-42f;
-  const float r = bf16_round(denorm);
-  EXPECT_TRUE(std::isfinite(r));
-  EXPECT_GE(r, 0.0f);
-}
-
-TEST(QuantizedInference, QuantizeMatrixPerColumnSymmetric) {
-  Matrix w(3, 2);
-  w.at(0, 0) = 2.54;
-  w.at(1, 0) = -1.27;
-  w.at(2, 0) = 0.0;
-  // Column 1 all zeros: scale must be the safe 1.0, codes all 0.
-  const QuantizedMatrix q = QuantizedMatrix::quantize(w);
-  ASSERT_EQ(q.rows, 3u);
-  ASSERT_EQ(q.cols, 2u);
-  EXPECT_FLOAT_EQ(q.scale[0], static_cast<float>(2.54 / 127.0));
-  EXPECT_EQ(q.data[0 * 2 + 0], 127);  // the column max hits +127
-  EXPECT_EQ(q.data[1 * 2 + 0], -64);  // -1.27 / (2.54/127) = -63.5 -> -64
-  EXPECT_EQ(q.data[2 * 2 + 0], 0);
-  EXPECT_EQ(q.scale[1], 1.0f);
-  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(q.data[k * 2 + 1], 0);
-}
-
-TEST(QuantizedInference, TrainedModelToleranceAndAgreement) {
-  GnnConfig cfg = tiny_config();
-  cfg.batch_size = 4;
-  cfg.epochs = 30;
-  GnnModel model(cfg);
-  std::vector<programl::ProgramGraph> graphs;
-  std::vector<std::size_t> labels;
-  for (int i = 0; i < 8; ++i) {
-    graphs.push_back(tiny_graph(10, 11));
-    labels.push_back(0);
-    graphs.push_back(tiny_graph(20, 21));
-    labels.push_back(1);
-  }
-  model.fit(graphs, labels);
-
-  const QuantizedGnnModel qmodel(model);
-  const auto fp =
-      model.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  const auto quant =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  ASSERT_EQ(fp.size(), quant.size());
-  for (std::size_t i = 0; i < fp.size(); ++i) {
-    ASSERT_EQ(fp[i].size(), quant[i].size());
-    double sum = 0.0;
-    std::size_t fp_arg = 0, q_arg = 0;
-    for (std::size_t j = 0; j < fp[i].size(); ++j) {
-      // The documented tolerance contract (docs/PERFORMANCE.md):
-      // probabilities within 0.05, argmax identical.
-      EXPECT_NEAR(fp[i][j], quant[i][j], 0.05) << "graph " << i;
-      sum += quant[i][j];
-      if (fp[i][j] > fp[i][fp_arg]) fp_arg = j;
-      if (quant[i][j] > quant[i][q_arg]) q_arg = j;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-    EXPECT_EQ(fp_arg, q_arg) << "prediction disagreement on graph " << i;
-    EXPECT_EQ(q_arg, labels[i]);
-  }
-}
-
-TEST(QuantizedInference, GuardedFallbackIsExactPartition) {
-  // predict_proba_guarded's contract, characterized exactly: a graph
-  // whose quantized argmax gap (top minus runner-up) is at most
-  // 2 x kQuantProbaTolerance comes back bit-equal to the fp path (the
-  // fallback fired); every other graph comes back bit-equal to the raw
-  // quantized path (no needless fp work). Because any fp/quantized
-  // argmax disagreement forces the quantized gap under that threshold,
-  // agreement with fp is structural — assert it for every graph too.
-  GnnConfig cfg = tiny_config();
-  cfg.batch_size = 4;
-  cfg.epochs = 30;
-  GnnModel model(cfg);
-  std::vector<programl::ProgramGraph> graphs;
-  std::vector<std::size_t> labels;
-  for (int i = 0; i < 8; ++i) {
-    graphs.push_back(tiny_graph(10, 11));
-    labels.push_back(0);
-    graphs.push_back(tiny_graph(20, 21));
-    labels.push_back(1);
-  }
-  const std::span<const programl::ProgramGraph> span(graphs);
-
-  // Both an untrained model (weak, possibly borderline margins) and a
-  // trained one (wide margins) must satisfy the partition.
-  for (const bool trained : {false, true}) {
-    if (trained) model.fit(graphs, labels);
-    const QuantizedGnnModel qmodel(model);
-    const auto fp = model.predict_proba(span);
-    const auto raw = qmodel.predict_proba(span);
-    const auto guarded = predict_proba_guarded(qmodel, model, span);
-    ASSERT_EQ(guarded.size(), graphs.size());
-    for (std::size_t i = 0; i < guarded.size(); ++i) {
-      double top = -1.0, second = -1.0;
-      std::size_t raw_arg = 0, fp_arg = 0, g_arg = 0;
-      for (std::size_t j = 0; j < raw[i].size(); ++j) {
-        if (raw[i][j] > top) {
-          second = top;
-          top = raw[i][j];
-          raw_arg = j;
-        } else if (raw[i][j] > second) {
-          second = raw[i][j];
-        }
-        if (fp[i][j] > fp[i][fp_arg]) fp_arg = j;
-        if (guarded[i][j] > guarded[i][g_arg]) g_arg = j;
-      }
-      const bool fell_back = top - second <= 2.0 * kQuantProbaTolerance;
-      const auto& expected = fell_back ? fp[i] : raw[i];
-      for (std::size_t j = 0; j < expected.size(); ++j) {
-        ASSERT_EQ(double_bits(guarded[i][j]), double_bits(expected[j]))
-            << (trained ? "trained" : "untrained") << " graph " << i;
-      }
-      EXPECT_EQ(g_arg, fp_arg)
-          << (trained ? "trained" : "untrained") << " graph " << i;
-      (void)raw_arg;
-    }
-  }
-}
-
-TEST(QuantizedInference, CrossDispatchBitIdentical) {
-  // Within the quantized path, scalar and SIMD targets are ALSO
-  // bit-identical (same k-ascending float accumulation): the tolerance
-  // contract is fp-vs-quantized only, never target-vs-target.
-  GnnModel model(tiny_config());
-  std::vector<programl::ProgramGraph> graphs{
-      tiny_graph(1, 2), tiny_graph(9, 10, true), tiny_graph(20, 21)};
-  const QuantizedGnnModel qmodel(model);
-  const auto live =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  kernels::ScopedForceScalar scalar(true);
-  const auto forced =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(graphs));
-  ASSERT_EQ(live.size(), forced.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    for (std::size_t j = 0; j < live[i].size(); ++j) {
-      ASSERT_EQ(double_bits(live[i][j]), double_bits(forced[i][j]))
-          << "graph " << i << " class " << j;
-    }
-  }
-}
-
-TEST(QuantizedInference, SingleGraphMatchesBatchedEntryPoint) {
-  GnnModel model(tiny_config());
-  const programl::ProgramGraph g = tiny_graph(6, 7, true);
-  const QuantizedGnnModel qmodel(model);
-  const auto single = qmodel.predict_proba(g);
-  const auto batched =
-      qmodel.predict_proba(std::span<const programl::ProgramGraph>(&g, 1));
-  ASSERT_EQ(batched.size(), 1u);
-  ASSERT_EQ(single.size(), batched[0].size());
-  for (std::size_t j = 0; j < single.size(); ++j) {
-    EXPECT_EQ(double_bits(single[j]), double_bits(batched[0][j]));
-  }
-}
-
-TEST(QuantizedInference, ExtremeLogitSoftmaxIsFinite) {
-  // A model whose weights are scaled far up produces extreme logits;
-  // the quantized softmax (double, max-subtracted) must stay finite,
-  // normalized, and argmax-stable.
-  GnnModel model(tiny_config());
-  std::vector<Matrix> scaled;
-  for (const Matrix* p : model.parameters()) {
-    Matrix m = *p;
-    for (double& x : m.data()) x *= 200.0;
-    scaled.push_back(std::move(m));
-  }
-  model.set_parameters(std::move(scaled));
-  const QuantizedGnnModel qmodel(model);
-  const auto proba = qmodel.predict_proba(tiny_graph(2, 3));
-  double sum = 0.0;
-  for (const double p : proba) {
-    EXPECT_TRUE(std::isfinite(p));
-    EXPECT_GE(p, 0.0);
-    sum += p;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
 }  // namespace
@@ -1006,6 +767,49 @@ TEST(GnnDetectorRun, UnfittedThrows) {
   mcfg.scale = 0.01;
   const datasets::Dataset ds = datasets::generate_mbi(mcfg);
   EXPECT_THROW(det.run(ds.cases), ContractViolation);
+}
+
+TEST(PerfHarness, OpCountersCoverOnlyTheBatchedPhases) {
+  // The record's op_counters must attribute exactly the batched train
+  // and batched infer work: one repetition, no warmup, must count what
+  // one standalone batched fit plus one predict_proba count — not the
+  // naive/scalar baseline rounds timed in the same run.
+  datasets::MbiConfig mcfg;
+  mcfg.scale = 0.01;
+  const datasets::Dataset ds = datasets::generate_mbi(mcfg);
+
+  GnnPerfOptions opts;
+  opts.cfg.embed_dim = 8;
+  opts.cfg.layers = {16, 8};
+  opts.cfg.fc_hidden = 8;
+  opts.cfg.epochs = 1;
+  opts.reps = 1;
+  opts.warmup = 0;
+  opts.threads = 1;
+  const GnnPerfReport report = run_gnn_perf(ds, opts);
+
+  const GraphSet gs = extract_graphs(ds, opts.graph_opt, opts.threads);
+  ml::GnnConfig cfg = opts.cfg;
+  cfg.classes = 2;
+  cfg.infer_batch = opts.infer_batch;
+  cfg.batch_size = opts.train_batch;
+  ml::kernels::ScopedKernelThreads budget(opts.threads);
+  const auto before = ml::kernels::op_counters();
+  ml::GnnModel model(cfg);
+  model.fit(gs.graphs, gs.y_binary);
+  (void)model.predict_proba(gs.graphs);
+  const auto after = ml::kernels::op_counters();
+
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < ml::kernels::kNumOps; ++i) {
+    const char* op = ml::kernels::op_name(static_cast<ml::kernels::Op>(i));
+    EXPECT_EQ(report.op_counters[i].calls, after[i].calls - before[i].calls)
+        << op;
+    EXPECT_EQ(report.op_counters[i].flops, after[i].flops - before[i].flops)
+        << op;
+    total += report.op_counters[i].calls;
+  }
+  EXPECT_GT(total, 0u);
 }
 
 }  // namespace

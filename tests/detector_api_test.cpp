@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <optional>
 #include <sstream>
 
@@ -124,17 +125,15 @@ TEST(Verdict, OutcomeNamesMatchDiagnosticNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs independent reference implementations. The legacy free
-// functions now delegate to the engine, so comparing against them only
-// checks the shim contract; the tests below re-implement the original
-// evaluation loops by hand and prove the engine reproduces their
-// confusions exactly on a fixed-seed dataset.
+// Engine vs independent reference implementations: the tests below
+// re-implement the original evaluation loops by hand and prove the
+// engine reproduces their confusions exactly on a fixed-seed dataset.
 // ---------------------------------------------------------------------------
 
 TEST(EvalEngine, SweepMatchesHandRolledToolLoop) {
   const auto ds = small_mbi();
   // Reference: a serial loop over check(), accumulating the MBI-style
-  // confusion exactly as the original evaluate_tool did.
+  // confusion exactly as the original tool sweep did.
   auto tool = verify::make_parcoach_lite();
   ml::Confusion ref;
   for (const auto& c : ds.cases) {
@@ -152,7 +151,7 @@ TEST(EvalEngine, SweepMatchesHandRolledToolLoop) {
 }
 
 TEST(EvalEngine, KfoldMatchesHandRolledLegacyIntraLoop) {
-  // Reference: the original ir2vec_intra protocol — stratified folds on
+  // Reference: the original IR2vec Intra protocol — stratified folds on
   // the binary labels, per-fold seed = base + fold, single-threaded
   // training on the fold complement, validation on the fold.
   const auto ds = small_mbi();
@@ -187,8 +186,9 @@ TEST(EvalEngine, KfoldMatchesHandRolledLegacyIntraLoop) {
 }
 
 TEST(EvalEngine, CrossMatchesHandRolledLegacyCrossLoop) {
-  // Reference: the original ir2vec_cross — one full-set training run,
-  // then a straight prediction pass over the validation embedding.
+  // Reference: the original IR2vec Cross protocol — one full-set
+  // training run, then a straight prediction pass over the validation
+  // embedding.
   const auto mbi = small_mbi();
   const auto corr = small_corr();
   const DetectorConfig cfg = fast_config();
@@ -209,20 +209,19 @@ TEST(EvalEngine, CrossMatchesHandRolledLegacyCrossLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Shim contract: the deprecated free functions delegate to the engine
-// and must agree with it bit-for-bit.
+// Frozen legacy confusions. The engine replaced a set of per-protocol
+// free functions (a tool sweep, IR2vec intra/cross/per-label/ablation,
+// GNN intra) that took pre-extracted features or graphs. Their results
+// on these fixed-seed datasets were recorded before they were removed;
+// the engine path must keep reproducing them exactly.
 // ---------------------------------------------------------------------------
 
 TEST(EvalEngine, SweepMatchesLegacyEvaluateTool) {
   const auto ds = small_mbi();
-  // Legacy path: a hand-held tool through the deprecated entry point.
-  auto tool = verify::make_itac_lite();
-  const auto legacy = verify::evaluate_tool(*tool, ds, 4);
-  // Engine path: the registry detector through a sweep.
   EvalEngine engine(4);
   auto det = DetectorRegistry::global().create("itac");
   const auto report = engine.sweep(*det, ds);
-  expect_equal(report.confusion, legacy);
+  expect_equal(report.confusion, ml::Confusion{63, 48, 0, 15, 0, 19, 0});
   EXPECT_EQ(report.cases, ds.size());
   EXPECT_EQ(report.verdicts.size(), ds.size());
   EXPECT_EQ(report.confusion.population(), ds.size());
@@ -243,56 +242,21 @@ TEST(EvalEngine, SweepIsSerialParallelInvariant) {
 
 TEST(EvalEngine, KfoldMatchesLegacyIr2vecIntra) {
   const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  // Legacy path: explicit feature extraction + the deprecated shim.
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_intra(fs, cfg.ir2vec);
-
-  // Engine path: registry detector + kfold on the raw dataset.
   EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
   const auto report = engine.kfold(*det, ds);
-  expect_equal(report.confusion, legacy);
+  expect_equal(report.confusion, ml::Confusion{59, 38, 21, 27});
   EXPECT_EQ(report.confusion.population(), ds.size());
 }
 
 TEST(EvalEngine, CrossMatchesLegacyIr2vecCross) {
   const auto mbi = small_mbi();
   const auto corr = small_corr();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs_m = extract_features(mbi, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto fs_c = extract_features(corr, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto legacy = ir2vec_cross(fs_m, fs_c, cfg.ir2vec);
-
   EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
   const auto report = engine.cross(*det, mbi, corr);
-  expect_equal(report.confusion, legacy);
+  expect_equal(report.confusion, ml::Confusion{38, 54, 16, 35});
   EXPECT_EQ(report.confusion.population(), corr.size());
-}
-
-TEST(EvalEngine, CrossShimDistinguishesSameCasesDifferentEmbeddings) {
-  // Regression: train and validation feature sets covering the *same*
-  // cases under different embeddings (the table5 seed-study shape) must
-  // not collide in the shim's cache seeding.
-  const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-  const auto fs_a = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                     cfg.vocab_seed);
-  const auto fs_b =
-      extract_features(ds, cfg.feature_opt, cfg.normalization, 0x9999);
-  const TrainedIr2vec model =
-      train_ir2vec(fs_a.X, fs_a.y_binary, cfg.ir2vec);
-  ml::Confusion ref;
-  for (std::size_t i = 0; i < fs_b.size(); ++i) {
-    ref.add(fs_b.incorrect[i], model.predict(fs_b.X[i]) == 1);
-  }
-  expect_equal(ir2vec_cross(fs_a, fs_b, cfg.ir2vec), ref);
 }
 
 TEST(Detector, BatchedRunDoesNotGrowCache) {
@@ -311,47 +275,37 @@ TEST(Detector, BatchedRunDoesNotGrowCache) {
 
 TEST(EvalEngine, KfoldMatchesLegacyGnnIntra) {
   const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto gs = extract_graphs(ds, cfg.graph_opt);
-  const auto legacy = gnn_intra(gs, cfg.gnn);
-
   EvalEngine engine;
-  auto det = DetectorRegistry::global().create("gnn", cfg);
+  auto det = DetectorRegistry::global().create("gnn", fast_config());
   const auto report = engine.kfold(*det, ds);
-  expect_equal(report.confusion, legacy);
+  expect_equal(report.confusion, ml::Confusion{66, 12, 47, 20});
 }
 
 TEST(EvalEngine, PerLabelMatchesLegacyIr2vecPerLabel) {
   const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_per_label(fs, cfg.ir2vec);
-
   EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
   EvalOptions eval = det->eval_defaults();
   eval.multiclass = true;
   const auto report = engine.kfold(*det, ds, eval);
+  const std::map<std::string, std::pair<std::size_t, std::size_t>> legacy{
+      {"Call Ordering", {32, 39}},      {"Correct", {39, 59}},
+      {"Epoch Lifecycle", {0, 3}},      {"Global Concurrency", {0, 2}},
+      {"Invalid Parameter", {4, 14}},   {"Local Concurrency", {3, 6}},
+      {"Message Race", {0, 3}},         {"Parameter Matching", {7, 14}},
+      {"Request Lifecycle", {2, 4}},    {"Resource Leak", {0, 1}},
+  };
   EXPECT_EQ(report.per_label, legacy);
 }
 
 TEST(EvalEngine, AblationMatchesLegacyIr2vecAblation) {
   const auto ds = small_mbi();
-  const DetectorConfig cfg = fast_config();
-
-  const auto fs = extract_features(ds, cfg.feature_opt, cfg.normalization,
-                                   cfg.vocab_seed);
-  const auto legacy = ir2vec_ablation(fs, {"Call Ordering"}, cfg.ir2vec);
-
   EvalEngine engine;
-  auto det = DetectorRegistry::global().create("ir2vec", cfg);
+  auto det = DetectorRegistry::global().create("ir2vec", fast_config());
   const auto r = engine.ablation(*det, ds, {"Call Ordering"}, std::nullopt,
                                  det->eval_defaults());
-  EXPECT_EQ(r.detected, legacy.first);
-  EXPECT_EQ(r.total, legacy.second);
+  EXPECT_EQ(r.detected, 20u);
+  EXPECT_EQ(r.total, 39u);
 }
 
 TEST(EvalEngine, AblationUnknownLabelThrows) {
