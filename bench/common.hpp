@@ -14,10 +14,15 @@
 // and protocols consume it.
 #pragma once
 
-#include <cstring>
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
@@ -37,19 +42,53 @@ struct BenchArgs {
   /// --cache-dir=DIR every driver that encodes the same corpus at the
   /// same options reuses the embedding instead of recomputing it.
   std::string cache_dir;
+  /// The driver's own flags (parse's `extra`) that were given; views
+  /// into argv, which outlives every driver's use of them.
+  std::vector<std::string_view> flags;
 
-  static BenchArgs parse(int argc, char** argv) {
+  bool has(std::string_view flag) const {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
+
+  /// Parses the flags every paper driver shares. `extra` lists the
+  /// driver's own flags, which has() reports. Any other argument, or a
+  /// --scale that is not a finite number > 0, is a usage error: a
+  /// message naming the flag on stderr, then exit 1.
+  static BenchArgs parse(int argc, char** argv,
+                         std::initializer_list<std::string_view> extra = {}) {
+    const auto usage_error = [&](const std::string& msg) {
+      std::cerr << argv[0] << ": " << msg << "\nusage: " << argv[0]
+                << " [--quick] [--paper] [--scale=X] [--cache-dir=DIR]";
+      for (const std::string_view flag : extra) {
+        std::cerr << " [" << flag << "]";
+      }
+      std::cerr << "\n";
+      std::exit(1);
+    };
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
+      const std::string_view arg = argv[i];
+      if (arg == "--quick") {
         args.quick = true;
         args.scale = 0.15;
-      } else if (std::strcmp(argv[i], "--paper") == 0) {
+      } else if (arg == "--paper") {
         args.paper = true;
-      } else if (std::strncmp(argv[i], "--scale=", 8) == 0) {
-        args.scale = std::stod(argv[i] + 8);
-      } else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0) {
+      } else if (arg.starts_with("--scale=")) {
+        const char* text = argv[i] + 8;
+        char* end = nullptr;
+        const double scale = std::strtod(text, &end);
+        if (end == text || *end != '\0' || !std::isfinite(scale) ||
+            scale <= 0.0) {
+          usage_error("--scale wants a finite number > 0, got '" +
+                      std::string(text) + "'");
+        }
+        args.scale = scale;
+      } else if (arg.starts_with("--cache-dir=")) {
         args.cache_dir = argv[i] + 12;
+      } else if (std::find(extra.begin(), extra.end(), arg) != extra.end()) {
+        args.flags.push_back(arg);
+      } else {
+        usage_error("unknown flag '" + std::string(arg) + "'");
       }
     }
     return args;

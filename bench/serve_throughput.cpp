@@ -49,6 +49,7 @@
 #include "serve/transport.hpp"
 #include "serve/wire.hpp"
 #include "support/faultpoint.hpp"
+#include "support/threads.hpp"
 
 using namespace mpidetect;
 using Clock = std::chrono::steady_clock;
@@ -424,7 +425,7 @@ int main(int argc, char** argv) {
        << ", \"reps\": " << args.reps << ", \"detector\": \""
        << args.detector << "\", "
        << "\"hardware_concurrency\": "
-       << std::thread::hardware_concurrency()
+       << hardware_probe()
        // The pool width inference actually ran at (the server
        // never overrides the auto budget here) — the honest thread
        // count for the record, not a requested knob.

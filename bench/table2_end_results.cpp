@@ -6,18 +6,14 @@
 //
 // Flags: --quick (reduced), --paper (GA 2500x25), --gnn-ablate (extra
 // ablation rows: narrower GATv2 stack, single-layer depth check).
-#include <cstring>
 
 #include "bench/common.hpp"
 
 using namespace mpidetect;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  bool gnn_ablate = false;
-  for (int i = 1; i < argc; ++i) {
-    gnn_ablate |= std::strcmp(argv[i], "--gnn-ablate") == 0;
-  }
+  const auto args = bench::BenchArgs::parse(argc, argv, {"--gnn-ablate"});
+  const bool gnn_ablate = args.has("--gnn-ablate");
 
   const auto mbi = bench::make_mbi(args);
   const auto corr = bench::make_corr(args);

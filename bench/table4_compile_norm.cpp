@@ -4,7 +4,6 @@
 // cache keeps every (dataset, option, normalization) encoding around
 // exactly once. Flag --encodings adds the symbolic-only vs
 // flow-aware-only ablation called out in DESIGN.md.
-#include <cstring>
 
 #include "bench/common.hpp"
 #include "ir2vec/encoder.hpp"
@@ -45,11 +44,8 @@ ml::Confusion intra_on_features(bench::Harness& h, core::Detector& det,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  bool encodings = false;
-  for (int i = 1; i < argc; ++i) {
-    encodings |= std::strcmp(argv[i], "--encodings") == 0;
-  }
+  const auto args = bench::BenchArgs::parse(argc, argv, {"--encodings"});
+  const bool encodings = args.has("--encodings");
 
   const auto mbi = bench::make_mbi(args);
   const auto corr = bench::make_corr(args);

@@ -3,18 +3,14 @@
 // study of §V-A ("Seeds") under --seed-study: GA features are selected
 // against one embedding vocabulary, then vectors are re-generated under
 // a different seed.
-#include <cstring>
 
 #include "bench/common.hpp"
 
 using namespace mpidetect;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv);
-  bool seed_study = false;
-  for (int i = 1; i < argc; ++i) {
-    seed_study |= std::strcmp(argv[i], "--seed-study") == 0;
-  }
+  const auto args = bench::BenchArgs::parse(argc, argv, {"--seed-study"});
+  const bool seed_study = args.has("--seed-study");
 
   const auto mbi = bench::make_mbi(args);
   const auto corr = bench::make_corr(args);

@@ -6,7 +6,6 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "core/features.hpp"
 #include "io/serialize.hpp"
@@ -15,6 +14,7 @@
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
+#include "support/threads.hpp"
 
 namespace mpidetect::core {
 
@@ -238,7 +238,7 @@ std::string GnnPerfReport::to_json() const {
   }
   os << "], \"fc_hidden\": " << options.cfg.fc_hidden
      << ", \"hardware_concurrency\": "
-     << std::max(1u, std::thread::hardware_concurrency())
+     << hardware_probe()
      << ", \"effective_threads\": " << effective_threads
      << ", \"simd\": \"" << simd << "\"},\n";
   os << "  \"phases\": [\n";

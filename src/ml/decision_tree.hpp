@@ -2,6 +2,29 @@
 // scikit-learn 1.0's DecisionTreeClassifier defaults the paper uses:
 // unlimited depth, min_samples_split=2, grown to purity. Supports
 // restricting splits to a feature subset (the GA selection of §IV-A).
+//
+// fit() presorts once (the exact-CART layout of scikit-learn's
+// `presort`): each candidate feature is copied into a column-major
+// array, and one row order per column is sorted by (value, label) with
+// a stable radix sort on the values' order-preserving bits. A node owns
+// the same contiguous range [lo, hi) of every order array, so its split
+// scan walks each column in sorted order with no sort of its own. The
+// chosen split stable-partitions every order array (and a row array
+// that feeds the class counts) into a left and a right sub-range, which
+// stay sorted. Nodes are numbered in the same pre-order, left child
+// first. The working set is 12 bytes per (row, candidate feature) and
+// lives only for the fit.
+//
+// The trees are bit-identical to the textbook form of CART, which sorts
+// the node's rows again for every feature at every node. A split is
+// scored only at a boundary between two distinct values, where the
+// cumulative class counts do not depend on how tied rows are ordered.
+// The threshold (a + b) / 2 of distinct neighbours is the same whichever
+// signed zero a tie group ends with, since x + (-0.0) == x + (+0.0) for
+// x != 0. Features are scanned in subset order with the same strict
+// `score + 1e-12 < best` rule, and a repeated subset index is scanned
+// once: its second scan would see only the scores its first one already
+// lost or set.
 #pragma once
 
 #include <cstddef>
@@ -67,9 +90,10 @@ class DecisionTree final {
                                  std::size_t n_features);
 
  private:
-  std::size_t build(const std::vector<std::vector<double>>& X,
-                    const std::vector<std::size_t>& y,
-                    std::vector<std::size_t> indices, std::size_t depth);
+  struct Presorted;
+  /// Grows the node owning rows [lo, hi) of every presorted array.
+  std::size_t build(Presorted& p, std::size_t lo, std::size_t hi,
+                    std::size_t depth);
 
   DecisionTreeConfig cfg_;
   std::vector<Node> nodes_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "datasets/mbi.hpp"
 #include "ml/decision_tree.hpp"
@@ -91,6 +95,103 @@ TEST(DecisionTree, FeatureSubsetRestrictsSplits) {
 TEST(DecisionTree, PredictBeforeFitThrows) {
   DecisionTree dt;
   EXPECT_THROW(dt.predict(std::vector<double>{1.0}), ContractViolation);
+}
+
+// Seeded rows with heavy value ties and mixed -0.0/+0.0: features 0-3
+// take one of six levels, feature 4 one of 17, and feature 5 is a signed
+// zero except in 30% of rows. Three classes follow features 0 and 4 with
+// 15% label noise, so the trees grow several levels of tied splits.
+void tied_rows(Rng& rng, std::size_t n, std::vector<std::vector<double>>& X,
+               std::vector<std::size_t>& y) {
+  static constexpr double kLevels[] = {-1.0, -0.0, 0.0, 0.5, 1.0, 2.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> row(6);
+    for (std::size_t f = 0; f < 4; ++f) row[f] = kLevels[rng.index(6)];
+    row[4] = std::round(rng.uniform(-2.0, 2.0) * 4.0) / 4.0;
+    row[5] = rng.chance(0.3) ? rng.uniform(-1.0, 1.0)
+                             : (rng.chance(0.5) ? -0.0 : 0.0);
+    std::size_t label =
+        (row[0] > 0.0 ? 1u : 0u) + (row[4] > 0.5 ? 1u : 0u);
+    if (rng.chance(0.15)) label = rng.index(3);
+    X.push_back(std::move(row));
+    y.push_back(label);
+  }
+}
+
+/// FNV-1a over every node's leaf/label/feature/threshold bits/left/
+/// right/depth, eight little-endian bytes per field.
+std::uint64_t tree_digest(const DecisionTree& dt) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const DecisionTree::Node& n : dt.nodes()) {
+    mix(n.leaf ? 1u : 0u);
+    mix(n.label);
+    mix(n.feature);
+    mix(std::bit_cast<std::uint64_t>(n.threshold));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(n.left)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(n.right)));
+    mix(n.depth);
+  }
+  return h;
+}
+
+TEST(DecisionTree, PresortedFitMatchesParentTrees) {
+  // Node digests, node counts and held-out predictions recorded from the
+  // per-node-sort implementation this presorted fit replaced: the trees
+  // must stay bit-identical, ties and signed zeros included.
+  Rng rng(20240611);
+  std::vector<std::vector<double>> X, X_held;
+  std::vector<std::size_t> y, y_held;
+  tied_rows(rng, 600, X, y);
+  tied_rows(rng, 200, X_held, y_held);
+
+  struct Case {
+    const char* name;
+    DecisionTreeConfig cfg;
+    std::size_t nodes;
+    std::uint64_t digest;
+    std::string held_out;  // predicted labels of the first 40 held rows
+    std::size_t held_correct;
+  };
+  DecisionTreeConfig subset;
+  subset.feature_subset = std::vector<std::size_t>{4, 1, 9, 5, 1, 0};
+  DecisionTreeConfig shallow;
+  shallow.max_depth = 3;
+  DecisionTreeConfig min_split;
+  min_split.min_samples_split = 5;
+  const Case cases[] = {
+      {"all features", {}, 291, 0xbc03abc36ccea0d7ULL,
+       "0002001020010111121101101000011200221010", 156},
+      {"subset with duplicate and out-of-range", subset, 279,
+       0xece8f63eb8023bd9ULL, "0002001220010011101101101001012200212110",
+       157},
+      {"max_depth=3", shallow, 15, 0xfe8405a55340992bULL,
+       "1002201020011112121101101001011100221110", 181},
+      {"min_samples_split=5", min_split, 185, 0xb835416170046c2eULL,
+       "0002001020010111021101100001011100221010", 160},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    DecisionTree dt(c.cfg);
+    dt.fit(X, y);
+    const std::vector<std::size_t> pred = dt.predict(X_held);
+    std::string head;
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < pred.size(); ++i) {
+      EXPECT_EQ(pred[i], dt.predict(X_held[i]));
+      if (i < 40) head.push_back(static_cast<char>('0' + pred[i]));
+      correct += pred[i] == y_held[i];
+    }
+    EXPECT_EQ(dt.node_count(), c.nodes);
+    EXPECT_EQ(tree_digest(dt), c.digest);
+    EXPECT_EQ(head, c.held_out);
+    EXPECT_EQ(correct, c.held_correct);
+  }
 }
 
 // ---------------------------------------------------------------------- GA
