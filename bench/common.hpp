@@ -19,7 +19,9 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +35,30 @@
 #include "support/table.hpp"
 
 namespace mpidetect::bench {
+
+/// Strict numeric flag parsing for drivers with their own flag loops
+/// (perf_gnn, corpus_stream): the whole of `value` must be a number in
+/// [min, INT_MAX] — the upper bound keeps every caller's cast to int,
+/// unsigned or size_t exact — and `integer` also rejects fractions
+/// instead of truncating them. Anything else throws
+/// std::invalid_argument with a message naming `flag`, which the
+/// driver turns into a usage error.
+inline double parse_number(const char* value, const char* flag, double min,
+                           bool integer = false) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  char* end = nullptr;
+  const double v = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !(v >= min && v <= kMax) ||
+      (integer && std::trunc(v) != v)) {
+    const std::string lo = integer ? std::to_string(static_cast<long long>(min))
+                                   : fmt_double(min, 2);
+    throw std::invalid_argument(std::string(flag) + " needs a" +
+                                (integer ? "n integer" : " number") + " in [" +
+                                lo + ", " + std::to_string(kMax) +
+                                "], got '" + value + "'");
+  }
+  return v;
+}
 
 struct BenchArgs {
   bool quick = false;  // reduced scale smoke run

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "core/detector.hpp"
 #include "core/eval_engine.hpp"
 #include "core/fuzzer.hpp"
@@ -29,11 +30,19 @@
 #include "datasets/spec.hpp"
 
 using namespace mpidetect;
+using bench::parse_number;
 using Clock = std::chrono::steady_clock;
 
 namespace {
 
 namespace fs = std::filesystem;
+
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::cerr << "corpus_stream: " << msg
+            << "\nusage: corpus_stream [--quick] [--runs=N] [--shard-mb=M] "
+               "[--window=N] [--eval=SPEC] [--detector=NAME] [--out=FILE]\n";
+  std::exit(1);
+}
 
 struct Args {
   bool quick = false;
@@ -46,30 +55,34 @@ struct Args {
 
   static Args parse(int argc, char** argv) {
     Args a;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
-        a.quick = true;
-        a.runs = 2'000;
-        a.shard_mb = 2;
-        a.eval_spec = "mbi:0.05@5";
-      } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
-        a.runs = std::stoi(argv[i] + 7);
-      } else if (std::strncmp(argv[i], "--shard-mb=", 11) == 0) {
-        a.shard_mb = std::stoull(argv[i] + 11);
-      } else if (std::strncmp(argv[i], "--window=", 9) == 0) {
-        a.window = std::stoul(argv[i] + 9);
-      } else if (std::strncmp(argv[i], "--eval=", 7) == 0) {
-        a.eval_spec = argv[i] + 7;
-      } else if (std::strncmp(argv[i], "--detector=", 11) == 0) {
-        a.detector = argv[i] + 11;
-      } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-        a.out = argv[i] + 6;
-      } else {
-        std::cerr << "usage: corpus_stream [--quick] [--runs=N] "
-                     "[--shard-mb=M] [--window=N] [--eval=SPEC] "
-                     "[--detector=NAME] [--out=FILE]\n";
-        std::exit(1);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--quick") == 0) {
+          a.quick = true;
+          a.runs = 2'000;
+          a.shard_mb = 2;
+          a.eval_spec = "mbi:0.05@5";
+        } else if (std::strncmp(argv[i], "--runs=", 7) == 0) {
+          a.runs =
+              static_cast<int>(parse_number(argv[i] + 7, "--runs", 1, true));
+        } else if (std::strncmp(argv[i], "--shard-mb=", 11) == 0) {
+          a.shard_mb = static_cast<std::uint64_t>(
+              parse_number(argv[i] + 11, "--shard-mb", 1, true));
+        } else if (std::strncmp(argv[i], "--window=", 9) == 0) {
+          a.window = static_cast<std::size_t>(
+              parse_number(argv[i] + 9, "--window", 1, true));
+        } else if (std::strncmp(argv[i], "--eval=", 7) == 0) {
+          a.eval_spec = argv[i] + 7;
+        } else if (std::strncmp(argv[i], "--detector=", 11) == 0) {
+          a.detector = argv[i] + 11;
+        } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
+          a.out = argv[i] + 6;
+        } else {
+          usage_error("unknown flag '" + std::string(argv[i]) + "'");
+        }
       }
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
     }
     return a;
   }

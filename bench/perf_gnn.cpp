@@ -18,6 +18,7 @@
 #include "core/perf_bench.hpp"
 
 using namespace mpidetect;
+using bench::parse_number;
 
 namespace {
 
@@ -27,26 +28,6 @@ namespace {
                "[--warmup=N] [--batch=N] [--infer-batch=N] [--threads=N] "
                "[--out=FILE]\n";
   std::exit(1);
-}
-
-/// Strict numeric parsing: malformed values are usage errors, never
-/// uncaught std::stoX exceptions. `integer` additionally rejects
-/// fractional values instead of silently truncating them.
-double parse_number(const char* value, const char* flag, double min,
-                    bool integer = false) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != std::strlen(value) || v < min) throw std::invalid_argument("");
-    if (integer && v != static_cast<double>(static_cast<long long>(v))) {
-      throw std::invalid_argument("");
-    }
-    return v;
-  } catch (const std::exception&) {
-    usage_error(std::string(flag) + " needs a" +
-                (integer ? "n integer" : " number") + " >= " +
-                fmt_double(min, 2) + ", got '" + value + "'");
-  }
 }
 
 struct PerfArgs {
@@ -72,30 +53,34 @@ struct PerfArgs {
         a.warmup = 0;
       }
     }
-    for (int i = 1; i < argc; ++i) {
-      const char* f = argv[i];
-      if (std::strcmp(f, "--quick") == 0) {
-        continue;  // already applied above
-      } else if (std::strncmp(f, "--scale=", 8) == 0) {
-        a.scale = parse_number(f + 8, "--scale", 0.01);
-      } else if (std::strncmp(f, "--reps=", 7) == 0) {
-        a.reps = static_cast<int>(parse_number(f + 7, "--reps", 1, true));
-      } else if (std::strncmp(f, "--warmup=", 9) == 0) {
-        a.warmup = static_cast<int>(parse_number(f + 9, "--warmup", 0, true));
-      } else if (std::strncmp(f, "--batch=", 8) == 0) {
-        a.train_batch =
-            static_cast<std::size_t>(parse_number(f + 8, "--batch", 1, true));
-      } else if (std::strncmp(f, "--infer-batch=", 14) == 0) {
-        a.infer_batch =
-            static_cast<std::size_t>(parse_number(f + 14, "--infer-batch", 1, true));
-      } else if (std::strncmp(f, "--threads=", 10) == 0) {
-        a.threads =
-            static_cast<unsigned>(parse_number(f + 10, "--threads", 0, true));
-      } else if (std::strncmp(f, "--out=", 6) == 0) {
-        a.out = f + 6;
-      } else {
-        usage_error("unknown flag " + std::string(f));
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const char* f = argv[i];
+        if (std::strcmp(f, "--quick") == 0) {
+          continue;  // already applied above
+        } else if (std::strncmp(f, "--scale=", 8) == 0) {
+          a.scale = parse_number(f + 8, "--scale", 0.01);
+        } else if (std::strncmp(f, "--reps=", 7) == 0) {
+          a.reps = static_cast<int>(parse_number(f + 7, "--reps", 1, true));
+        } else if (std::strncmp(f, "--warmup=", 9) == 0) {
+          a.warmup = static_cast<int>(parse_number(f + 9, "--warmup", 0, true));
+        } else if (std::strncmp(f, "--batch=", 8) == 0) {
+          a.train_batch =
+              static_cast<std::size_t>(parse_number(f + 8, "--batch", 1, true));
+        } else if (std::strncmp(f, "--infer-batch=", 14) == 0) {
+          a.infer_batch = static_cast<std::size_t>(
+              parse_number(f + 14, "--infer-batch", 1, true));
+        } else if (std::strncmp(f, "--threads=", 10) == 0) {
+          a.threads =
+              static_cast<unsigned>(parse_number(f + 10, "--threads", 0, true));
+        } else if (std::strncmp(f, "--out=", 6) == 0) {
+          a.out = f + 6;
+        } else {
+          usage_error("unknown flag " + std::string(f));
+        }
       }
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
     }
     return a;
   }

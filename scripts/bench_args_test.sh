@@ -5,15 +5,18 @@
 # trace), while a driver's own flags keep parsing. A driver's own flag
 # is checked by placing it before an unknown one: the parser reads left
 # to right, so the diagnostic must name the unknown flag, not the
-# driver's. No driver runs an experiment here.
+# driver's. The bench tools with their own flag loops share
+# bench::parse_number: a malformed, negative or partly numeric value is
+# the same clean usage error. No driver runs an experiment here.
 #
-# usage: bench_args_test.sh FIG1 TABLE2 TABLE4 TABLE5
+# usage: bench_args_test.sh FIG1 TABLE2 TABLE4 TABLE5 CORPUS_STREAM
 set -u
 
 FIG1=${1:?path to fig1_dataset_composition}
 TABLE2=${2:?path to table2_end_results}
 TABLE4=${3:?path to table4_compile_norm}
 TABLE5=${4:?path to table5_ga}
+CORPUS_STREAM=${5:?path to corpus_stream}
 
 failures=0
 checks=0
@@ -50,6 +53,11 @@ usage_error "'--gnn-ablate'" -- "$FIG1" --quick --gnn-ablate
 usage_error "'--bogus'" -- "$TABLE2" --quick --gnn-ablate --bogus
 usage_error "'--bogus'" -- "$TABLE4" --quick --encodings --bogus
 usage_error "'--bogus'" -- "$TABLE5" --quick --seed-study --bogus
+usage_error "--runs" -- "$CORPUS_STREAM" --runs=abc
+usage_error "'-1'" -- "$CORPUS_STREAM" --window=-1
+usage_error "--window" -- "$CORPUS_STREAM" --window=-1
+usage_error "'1x'" -- "$CORPUS_STREAM" --shard-mb=1x
+usage_error "--shard-mb" -- "$CORPUS_STREAM" --shard-mb=1x
 
 if [ "$failures" -ne 0 ]; then
   echo "bench_args: $failures of $checks checks failed" >&2

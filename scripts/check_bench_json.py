@@ -5,16 +5,15 @@ Usage: check_bench_json.py [--require-win] [--require-multithread] \\
            FILE [FILE ...]
 
 Each record self-identifies through its "benchmark" key — "gnn_perf"
-(written by perf_gnn) and "serve_throughput" (written by
-serve_throughput) are understood. Validates structure only — a
-malformed record fails (exit 1), slow numbers do not. CI runs this on
-artifacts produced by the --quick bench modes so the smoke jobs gate on
-"the harness still writes a well-formed record", never on machine
-speed. The one exception is --require-win: applied to a
-serve_throughput record it additionally requires
-batched_vs_single_speedup >= 1, which CI asserts for the committed
-BENCH_serve.json (the record exists to show batched admission beating
-one-at-a-time dispatch) but not for throwaway smoke artifacts.
+(written by perf_gnn) and "corpus_stream" (written by corpus_stream)
+are understood. Validates structure only — a malformed record fails
+(exit 1), slow numbers do not. CI runs this on artifacts produced by
+the --quick bench modes so the smoke jobs gate on "the harness still
+writes a well-formed record", never on machine speed. The one
+exception is --require-win: applied to a corpus_stream record it
+additionally requires a full-scale (>= 50k cases) run whose peak RSS
+stays well below the corpus size, which CI asserts for the committed
+BENCH_corpus.json but not for throwaway smoke artifacts.
 --require-multithread, applied to a gnn_perf record, requires
 config.effective_threads >= 2 — the committed BENCH_gnn.json must be
 recorded with a real multi-thread pool, never a requested-but-unused
@@ -68,16 +67,14 @@ def check_file(path, require_win=False, require_multithread=False):
     kind = doc.get("benchmark")
     # gnn_perf is at schema 3: schema 2 added effective-thread honesty
     # and op counters, schema 3 dropped the quantized phase and scoped
-    # the op counters to the batched phases. The other records are
-    # still at 1.
+    # the op counters to the batched phases. corpus_stream is still
+    # at 1.
     expected_schema = 3 if kind == "gnn_perf" else 1
     if doc.get("schema_version") != expected_schema:
         return fail(path, f"unknown schema_version {doc.get('schema_version')!r}"
                           f" for {kind!r} (expected {expected_schema})")
     if kind == "gnn_perf":
         return check_gnn_perf(path, doc, require_multithread)
-    if kind == "serve_throughput":
-        return check_serve_throughput(path, doc, require_win)
     if kind == "corpus_stream":
         return check_corpus_stream(path, doc, require_win)
     return fail(path, f"unknown benchmark kind: {kind!r}")
@@ -186,152 +183,6 @@ def check_gnn_perf(path, doc, require_multithread):
         f"train {speedup['train']:.2f}x, infer {speedup['infer']:.2f}x, "
         f"agreement {agreement:.3f}, "
         f"{eff:.0f} effective thread(s), simd {config['simd']})"
-    )
-    return 0
-
-
-def check_serve_throughput(path, doc, require_win):
-    dataset = doc.get("dataset")
-    if not isinstance(dataset, dict) or not isinstance(dataset.get("spec"), str):
-        return fail(path, "dataset.spec missing")
-    if not (is_number(dataset.get("cases")) and dataset["cases"] >= 1):
-        return fail(path, "dataset.cases missing or < 1")
-
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        return fail(path, "config missing")
-    for key in ("clients", "requests_per_client", "queue_capacity", "reps"):
-        if not (is_number(config.get(key)) and config[key] >= 1):
-            return fail(path, f"config.{key} missing or < 1")
-    if not isinstance(config.get("detector"), str) or not config["detector"]:
-        return fail(path, "config.detector missing")
-    if not (is_number(config.get("effective_threads"))
-            and config["effective_threads"] >= 1):
-        return fail(path, "config.effective_threads missing or < 1")
-
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, list) or len(sweep) < 2:
-        return fail(path, "sweep missing or has fewer than 2 points")
-    expected = config["clients"] * config["requests_per_client"]
-    seen_windows = set()
-    single = None
-    for i, point in enumerate(sweep):
-        if not isinstance(point, dict):
-            return fail(path, f"sweep[{i}] is not an object")
-        for key in ("max_batch", "requests", "wall_ms", "throughput_rps",
-                    "batches", "max_coalesced", "busy_retries"):
-            if not (is_number(point.get(key)) and point[key] >= 0):
-                return fail(path, f"sweep[{i}].{key} missing or negative")
-        if point["max_batch"] < 1 or point["max_batch"] in seen_windows:
-            return fail(path, f"sweep[{i}].max_batch invalid or duplicated")
-        seen_windows.add(point["max_batch"])
-        if point["requests"] != expected:
-            return fail(
-                path,
-                f"sweep[{i}].requests {point['requests']} != "
-                f"clients*requests_per_client {expected}",
-            )
-        if point["wall_ms"] <= 0 or point["throughput_rps"] <= 0:
-            return fail(path, f"sweep[{i}]: wall_ms/throughput_rps not positive")
-        if point["max_coalesced"] > point["max_batch"]:
-            return fail(path, f"sweep[{i}]: max_coalesced exceeds max_batch")
-        lat = point.get("latency_ms")
-        if not isinstance(lat, dict):
-            return fail(path, f"sweep[{i}].latency_ms missing")
-        for q in ("p50", "p90", "p99"):
-            if not (is_number(lat.get(q)) and lat[q] >= 0):
-                return fail(path, f"sweep[{i}].latency_ms.{q} missing")
-        if not (lat["p50"] <= lat["p90"] + 1e-9 and
-                lat["p90"] <= lat["p99"] + 1e-9):
-            return fail(path, f"sweep[{i}]: percentiles not monotone")
-        if point["max_batch"] == 1:
-            single = point
-    if single is None:
-        return fail(path, "sweep has no max_batch=1 baseline point")
-
-    speedup = doc.get("batched_vs_single_speedup")
-    if not (is_number(speedup) and speedup > 0):
-        return fail(path, "batched_vs_single_speedup missing or not positive")
-    best = max(p["throughput_rps"] / single["throughput_rps"]
-               for p in sweep if p["max_batch"] > 1)
-    # The emitter prints 6 significant digits, so compare loosely.
-    if abs(speedup - best) > 1e-4 * max(speedup, best):
-        return fail(
-            path,
-            f"batched_vs_single_speedup {speedup} does not match sweep "
-            f"(best batched / single = {best})",
-        )
-
-    # Optional --fault-sweep axis: latency under injected recoverable
-    # transport faults. Rates must ascend from a clean 0% baseline, and
-    # a non-zero rate that fired no faults means the injection never
-    # actually ran — a malformed record, not a resilient server.
-    fault_sweep = doc.get("fault_sweep")
-    if fault_sweep is not None:
-        if not isinstance(fault_sweep, list) or len(fault_sweep) < 2:
-            return fail(path, "fault_sweep present but has fewer than 2 points")
-        prev_rate = -1.0
-        for i, point in enumerate(fault_sweep):
-            if not isinstance(point, dict):
-                return fail(path, f"fault_sweep[{i}] is not an object")
-            rate = point.get("fault_rate")
-            if not (is_number(rate) and 0.0 <= rate <= 1.0):
-                return fail(path, f"fault_sweep[{i}].fault_rate outside [0, 1]")
-            if rate <= prev_rate:
-                return fail(path, f"fault_sweep[{i}]: rates not ascending")
-            prev_rate = rate
-            for key in ("requests", "wall_ms", "throughput_rps",
-                        "faults_fired", "busy_retries"):
-                if not (is_number(point.get(key)) and point[key] >= 0):
-                    return fail(path,
-                                f"fault_sweep[{i}].{key} missing or negative")
-            if point["requests"] != expected:
-                return fail(
-                    path,
-                    f"fault_sweep[{i}].requests {point['requests']} != "
-                    f"clients*requests_per_client {expected}",
-                )
-            if point["wall_ms"] <= 0 or point["throughput_rps"] <= 0:
-                return fail(path, f"fault_sweep[{i}]: wall_ms/throughput_rps "
-                                  "not positive")
-            lat = point.get("latency_ms")
-            if not isinstance(lat, dict):
-                return fail(path, f"fault_sweep[{i}].latency_ms missing")
-            for q in ("p50", "p90", "p99"):
-                if not (is_number(lat.get(q)) and lat[q] >= 0):
-                    return fail(path, f"fault_sweep[{i}].latency_ms.{q} missing")
-            if not (lat["p50"] <= lat["p90"] + 1e-9 and
-                    lat["p90"] <= lat["p99"] + 1e-9):
-                return fail(path, f"fault_sweep[{i}]: percentiles not monotone")
-            if rate == 0.0 and point["faults_fired"] != 0:
-                return fail(path, f"fault_sweep[{i}]: clean baseline fired "
-                                  f"{point['faults_fired']} faults")
-            if rate > 0.0 and point["faults_fired"] == 0:
-                return fail(path, f"fault_sweep[{i}]: rate {rate} fired no "
-                                  "faults — injection never ran")
-        if fault_sweep[0]["fault_rate"] != 0.0:
-            return fail(path, "fault_sweep has no 0% baseline point")
-
-    mismatches = doc.get("verdict_mismatches")
-    if not is_number(mismatches):
-        return fail(path, "verdict_mismatches missing")
-    # The invariant the record exists to prove: coalescing must not
-    # change answers. Correctness gate, not a speed gate.
-    if mismatches != 0:
-        return fail(path, f"verdict_mismatches {mismatches} != 0 — "
-                          "batched serving diverged from the local bundle")
-    if require_win and speedup < 1.0:
-        return fail(path, f"batched_vs_single_speedup {speedup} < 1 — "
-                          "the committed record must show batched admission "
-                          "beating one-at-a-time dispatch")
-
-    fault_note = (
-        f", fault sweep {len(fault_sweep)} rates" if fault_sweep else ""
-    )
-    print(
-        f"{path}: OK ({config['detector']} on {dataset['spec']}, "
-        f"{len(sweep)} windows x {expected} requests, "
-        f"batched vs single {speedup:.2f}x, 0 mismatches{fault_note})"
     )
     return 0
 

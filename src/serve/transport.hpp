@@ -1,7 +1,7 @@
 // Byte transports for the detection-as-a-service daemon: a blocking
 // duplex channel abstraction plus the two concrete carriers the repo
-// uses — an in-process socketpair (tests, bench/serve_throughput) and
-// AF_UNIX listening sockets (mpiguardd / mpiguard-client). The wire
+// uses — an in-process socketpair (tests) and AF_UNIX listening
+// sockets (mpiguardd / mpiguard-client). The wire
 // protocol (serve/wire.hpp) is transport-agnostic; everything here is
 // plain POSIX with no per-message allocation.
 //

@@ -17,16 +17,16 @@ constexpr const char* kWhat = "mpiguardd wire frame";
 constexpr std::size_t kMaxName = 4096;      // client/server/spec/message
 constexpr std::size_t kMaxKey = 256;        // detector registry keys
 constexpr std::size_t kMaxDetectors = 256;  // loaded models per daemon
-constexpr std::size_t kMaxOpCounters = 64;  // profiled op classes (v3 STATS)
+constexpr std::size_t kMaxOpCounters = 64;  // profiled op classes (STATS)
 
 /// Smallest well-formed payload: magic + version + frame type.
 constexpr std::size_t kMinPayload = 4 + 4 + 1;
 
-void write_body(io::Writer& w, const Hello& f, std::uint32_t) {
+void write_body(io::Writer& w, const Hello& f) {
   w.str(f.client);
 }
 
-void write_body(io::Writer& w, const Caps& f, std::uint32_t) {
+void write_body(io::Writer& w, const Caps& f) {
   w.str(f.server);
   w.u32(f.queue_capacity);
   w.u32(f.max_batch);
@@ -34,21 +34,15 @@ void write_body(io::Writer& w, const Caps& f, std::uint32_t) {
   for (const auto& d : f.detectors) w.str(d);
 }
 
-void write_body(io::Writer& w, const Submit& f, std::uint32_t version) {
+void write_body(io::Writer& w, const Submit& f) {
   w.u64(f.request_id);
   w.str(f.detector);
   w.str(f.dataset);
   w.u64(f.index);
-  if (version >= 2) {
-    w.u32(f.deadline_ms);
-  } else {
-    // v1 bytes cannot say "deadline": refusing here beats silently
-    // dropping a deadline the caller believes is in force.
-    MPIDETECT_CHECK(f.deadline_ms == 0);
-  }
+  w.u32(f.deadline_ms);
 }
 
-void write_body(io::Writer& w, const WireVerdict& f, std::uint32_t) {
+void write_body(io::Writer& w, const WireVerdict& f) {
   w.u64(f.request_id);
   w.u8(f.outcome);
   w.u8(f.predicted_label.has_value() ? 1 : 0);
@@ -58,18 +52,18 @@ void write_body(io::Writer& w, const WireVerdict& f, std::uint32_t) {
   w.u32(f.batch_size);
 }
 
-void write_body(io::Writer& w, const Busy& f, std::uint32_t) {
+void write_body(io::Writer& w, const Busy& f) {
   w.u64(f.request_id);
 }
 
-void write_body(io::Writer& w, const Error& f, std::uint32_t) {
+void write_body(io::Writer& w, const Error& f) {
   w.u64(f.request_id);
   w.str(f.message);
 }
 
-void write_body(io::Writer&, const StatsReq&, std::uint32_t) {}
+void write_body(io::Writer&, const StatsReq&) {}
 
-void write_body(io::Writer& w, const Stats& f, std::uint32_t version) {
+void write_body(io::Writer& w, const Stats& f) {
   w.u64(f.received);
   w.u64(f.served);
   w.u64(f.busy_rejected);
@@ -81,35 +75,27 @@ void write_body(io::Writer& w, const Stats& f, std::uint32_t version) {
   w.u64(f.datasets_materialized);
   w.u64(f.cache_disk_hits);
   w.u64(f.cache_disk_writes);
-  if (version >= 2) {
-    w.u64(f.deadline_sheds);
-    w.u64(f.io_timeouts);
-    w.u64(f.reaped_connections);
-    w.u64(f.retries);
-    w.u64(f.watchdog_trips);
-    w.u64(f.faults_fired);
+  w.u64(f.deadline_sheds);
+  w.u64(f.io_timeouts);
+  w.u64(f.reaped_connections);
+  w.u64(f.retries);
+  w.u64(f.watchdog_trips);
+  w.u64(f.faults_fired);
+  MPIDETECT_CHECK(f.op_counters.size() <= kMaxOpCounters);
+  w.u64(f.op_counters.size());
+  for (const OpCounter& c : f.op_counters) {
+    w.str(c.name);
+    w.u64(c.calls);
+    w.u64(c.flops);
+    w.u64(c.ns);
   }
-  if (version >= 3) {
-    MPIDETECT_CHECK(f.op_counters.size() <= kMaxOpCounters);
-    w.u64(f.op_counters.size());
-    for (const OpCounter& c : f.op_counters) {
-      w.str(c.name);
-      w.u64(c.calls);
-      w.u64(c.flops);
-      w.u64(c.ns);
-    }
-  }
-  // At v1/v2 any op-counter rows are silently dropped: they are pure
-  // observability, so (unlike a SUBMIT deadline) nothing the sender
-  // relies on is lost.
 }
 
-void write_body(io::Writer&, const Shutdown&, std::uint32_t) {}
+void write_body(io::Writer&, const Shutdown&) {}
 
-void write_body(io::Writer&, const Bye&, std::uint32_t) {}
+void write_body(io::Writer&, const Bye&) {}
 
-void write_body(io::Writer& w, const Expired& f, std::uint32_t version) {
-  MPIDETECT_CHECK(version >= 2);  // the frame type does not exist at v1
+void write_body(io::Writer& w, const Expired& f) {
   w.u64(f.request_id);
 }
 
@@ -119,7 +105,7 @@ std::uint8_t read_flag(io::Reader& r) {
   return v;
 }
 
-Frame read_body(io::Reader& r, FrameType type, std::uint32_t version) {
+Frame read_body(io::Reader& r, FrameType type) {
   switch (type) {
     case FrameType::Hello: {
       Hello f;
@@ -142,7 +128,7 @@ Frame read_body(io::Reader& r, FrameType type, std::uint32_t version) {
       f.detector = r.str(kMaxKey);
       f.dataset = r.str(kMaxName);
       f.index = r.u64();
-      if (version >= 2) f.deadline_ms = r.u32();
+      f.deadline_ms = r.u32();
       return f;
     }
     case FrameType::Verdict: {
@@ -184,25 +170,21 @@ Frame read_body(io::Reader& r, FrameType type, std::uint32_t version) {
       f.datasets_materialized = r.u64();
       f.cache_disk_hits = r.u64();
       f.cache_disk_writes = r.u64();
-      if (version >= 2) {
-        f.deadline_sheds = r.u64();
-        f.io_timeouts = r.u64();
-        f.reaped_connections = r.u64();
-        f.retries = r.u64();
-        f.watchdog_trips = r.u64();
-        f.faults_fired = r.u64();
-      }
-      if (version >= 3) {
-        const std::size_t n = r.count(kMaxOpCounters);
-        f.op_counters.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          OpCounter c;
-          c.name = r.str(kMaxKey);
-          c.calls = r.u64();
-          c.flops = r.u64();
-          c.ns = r.u64();
-          f.op_counters.push_back(std::move(c));
-        }
+      f.deadline_sheds = r.u64();
+      f.io_timeouts = r.u64();
+      f.reaped_connections = r.u64();
+      f.retries = r.u64();
+      f.watchdog_trips = r.u64();
+      f.faults_fired = r.u64();
+      const std::size_t n = r.count(kMaxOpCounters);
+      f.op_counters.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        OpCounter c;
+        c.name = r.str(kMaxKey);
+        c.calls = r.u64();
+        c.flops = r.u64();
+        c.ns = r.u64();
+        f.op_counters.push_back(std::move(c));
       }
       return f;
     }
@@ -211,10 +193,6 @@ Frame read_body(io::Reader& r, FrameType type, std::uint32_t version) {
     case FrameType::Bye:
       return Bye{};
     case FrameType::Expired: {
-      if (version < 2) {
-        // A v1 sender cannot know this type: it is smuggled corruption.
-        r.fail("EXPIRED frame at wire version 1");
-      }
       Expired f;
       f.request_id = r.u64();
       return f;
@@ -266,13 +244,12 @@ FrameType frame_type(const Frame& f) {
       f);
 }
 
-std::string encode_frame(const Frame& f, std::uint32_t version) {
-  MPIDETECT_EXPECTS(version >= 1 && version <= kWireVersion);
+std::string encode_frame(const Frame& f) {
   std::ostringstream payload(std::ios::binary);
   io::Writer w(payload);
-  io::write_section(w, kMagic, version);
+  io::write_section(w, kMagic, kWireVersion);
   w.u8(static_cast<std::uint8_t>(frame_type(f)));
-  std::visit([&](const auto& v) { write_body(w, v, version); }, f);
+  std::visit([&](const auto& v) { write_body(w, v); }, f);
   const std::string body = payload.str();
   MPIDETECT_CHECK(body.size() <= kMaxFrameBytes);
 
@@ -286,35 +263,44 @@ std::string encode_frame(const Frame& f, std::uint32_t version) {
   return out;
 }
 
-Frame decode_payload(std::string_view payload, const std::string& origin,
-                     std::uint32_t* version_out) {
+Frame decode_payload(std::string_view payload, const std::string& origin) {
   std::istringstream is(std::string(payload), std::ios::binary);
   io::Reader r(is, origin);
-  const std::uint32_t version =
-      io::read_section(r, kMagic, kWireVersion, kWhat);
+  // The section header is checked here rather than by io::read_section,
+  // which accepts a range of versions: every frame must speak exactly
+  // kWireVersion.
+  char magic[4];
+  for (char& c : magic) c = static_cast<char>(r.u8());
+  if (std::string_view(magic, 4) != kMagic) {
+    r.fail(std::string("not an ") + kWhat + " (bad magic)");
+  }
+  const std::uint32_t version = r.u32();
+  if (version != kWireVersion) {
+    r.fail(std::string("unsupported ") + kWhat + " version " +
+           std::to_string(version) + " (this build speaks only version " +
+           std::to_string(kWireVersion) + ")");
+  }
   const std::uint8_t raw_type = r.u8();
   if (raw_type < static_cast<std::uint8_t>(FrameType::Hello) ||
       raw_type > static_cast<std::uint8_t>(FrameType::Expired)) {
     r.fail("unknown frame type " + std::to_string(raw_type));
   }
-  Frame f = read_body(r, static_cast<FrameType>(raw_type), version);
+  Frame f = read_body(r, static_cast<FrameType>(raw_type));
   if (!r.at_end()) {
     r.fail("trailing bytes after " +
            std::string(frame_type_name(static_cast<FrameType>(raw_type))) +
            " frame (corrupt stream)");
   }
-  if (version_out != nullptr) *version_out = version;
   return f;
 }
 
-void write_frame(Transport& t, const Frame& f, std::uint32_t version) {
-  const std::string bytes = encode_frame(f, version);
+void write_frame(Transport& t, const Frame& f) {
+  const std::string bytes = encode_frame(f);
   t.write_all(bytes.data(), bytes.size());
 }
 
 std::optional<Frame> read_frame(Transport& t, const std::string& origin,
-                                const ReadTimeouts& timeouts,
-                                std::uint32_t* version_out) {
+                                const ReadTimeouts& timeouts) {
   // The wait for a frame to START is the idle deadline (reaper); once
   // the length prefix begins arriving, every subsequent wait is bounded
   // by the (typically much shorter) per-read io deadline, so a peer
@@ -345,7 +331,7 @@ std::optional<Frame> read_frame(Transport& t, const std::string& origin,
   if (!t.read_exact(payload.data(), payload.size())) {
     throw io::FormatError(origin + ": unexpected end of stream inside frame");
   }
-  return decode_payload(payload, origin, version_out);
+  return decode_payload(payload, origin);
 }
 
 }  // namespace mpidetect::serve

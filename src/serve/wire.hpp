@@ -16,7 +16,7 @@
 // length above kMaxFrameBytes (or below the 9-byte section header) is
 // rejected before any allocation, so a corrupt prefix can never turn
 // into a multi-gigabyte buffer. Decoding validates everything else:
-// magic, version in [1, kWireVersion], known frame type, in-range enum
+// magic, version == kWireVersion, known frame type, in-range enum
 // values, and an exactly-consumed payload (trailing bytes are
 // corruption, exactly like the .mpib loader). Every violation throws
 // io::FormatError; the daemon answers with an ERROR frame and drops the
@@ -29,22 +29,12 @@
 // re-embedding per request (the same seeds-not-bodies idea as the MPFZ
 // repro corpora). Byte-level layout tables: docs/SERVING.md.
 //
-// Versioning: every frame's section header carries the version its
-// sender speaks, and both sides parse/emit per that version. v1 is the
-// PR-6 protocol, frozen byte for byte. v2 (this build's default) adds
-// the robustness surface: SUBMIT grows an optional deadline_ms tail
-// field, STATS grows six robustness counters, and the EXPIRED frame
-// type answers a SUBMIT whose deadline passed before its batch ran. A
-// v1 client talking to a v2 daemon round-trips byte-identically — the
-// daemon answers each frame at the version the frame arrived in, and
-// the v2-only failure machinery (deadlines) cannot trigger for
-// requests that cannot carry a deadline. v3 (this build's default)
-// appends a per-op kernel profiling section to STATS — a counted list
-// of {op name, calls, flops, ns} rows mirroring ml/kernels.hpp — so a
-// client can see where the daemon's inference time goes without
-// attaching a profiler. The section is pure observability: a daemon
-// answering a v1/v2 STATS_REQ silently omits it (unlike a SUBMIT
-// deadline, dropping it loses no contract).
+// Versioning: there is one wire version, kWireVersion, and every
+// frame's section header carries it. A frame at any other version —
+// older or newer — is an io::FormatError naming that version, checked
+// per frame, so neither side keeps per-connection version state. The
+// protocol has no clients outside this repository; a layout change
+// bumps kWireVersion and both ends move together.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +64,7 @@ enum class FrameType : std::uint8_t {
   Stats = 8,     // server → client: the counters
   Shutdown = 9,  // client → server: drain in-flight work and stop
   Bye = 10,      // server → client: drain complete, daemon stopping
-  Expired = 11,  // server → client (v2+): deadline passed, work shed
+  Expired = 11,  // server → client: deadline passed, work shed
 };
 
 std::string_view frame_type_name(FrameType t);
@@ -96,9 +86,8 @@ struct Submit {
                                  // empty = the daemon's first model
   std::string dataset;           // spec, e.g. "mbi:0.05@7" (datasets/spec.hpp)
   std::uint64_t index = 0;       // case index within the generated corpus
-  /// v2+: answer within this many ms of admission or shed the work with
-  /// an EXPIRED frame instead of running it. 0 = no deadline (and the
-  /// only encodable value at v1, where the field does not exist).
+  /// Answer within this many ms of admission or shed the work with an
+  /// EXPIRED frame instead of running it. 0 = no deadline.
   std::uint32_t deadline_ms = 0;
 };
 
@@ -108,8 +97,8 @@ struct WireVerdict {
   std::optional<std::uint64_t> predicted_label;
   std::optional<double> confidence;
   /// How many requests were coalesced into the batch that produced this
-  /// verdict — the admission window made observable (tests and
-  /// bench/serve_throughput assert coalescing actually happened).
+  /// verdict — the admission window made observable (tests assert
+  /// coalescing actually happened).
   std::uint32_t batch_size = 1;
 };
 
@@ -124,7 +113,7 @@ struct Error {
 
 struct StatsReq {};
 
-/// One per-op kernel profiling row (v3+ STATS): the daemon-lifetime
+/// One per-op kernel profiling row of STATS: the daemon-lifetime
 /// totals of ml::kernels::op_counters() for one op class.
 struct OpCounter {
   std::string name;           // ml::kernels::op_name
@@ -145,15 +134,14 @@ struct Stats {
   std::uint64_t datasets_materialized = 0;  // distinct specs generated
   std::uint64_t cache_disk_hits = 0;        // shared EncodingCache spill
   std::uint64_t cache_disk_writes = 0;
-  // ---- v2+ robustness counters (absent from the v1 encoding) ----
+  // ---- robustness counters ----
   std::uint64_t deadline_sheds = 0;   // EXPIRED replies (shed before run)
   std::uint64_t io_timeouts = 0;      // read/write deadlines that fired
   std::uint64_t reaped_connections = 0;  // connections closed by deadline
   std::uint64_t retries = 0;          // resubmits of a BUSY-bounced id
   std::uint64_t watchdog_trips = 0;   // batches outliving the watchdog
   std::uint64_t faults_fired = 0;     // injected faults (faultpoint.hpp)
-  // ---- v3+ kernel profiling (absent from v1/v2 encodings; a daemon
-  // answering an older client drops the rows — observability only) ----
+  // ---- kernel profiling ----
   std::vector<OpCounter> op_counters;
 };
 
@@ -171,25 +159,19 @@ using Frame = std::variant<Hello, Caps, Submit, WireVerdict, Busy, Error,
 FrameType frame_type(const Frame& f);
 
 /// Serializes a frame to its full wire form: u32 length prefix followed
-/// by the payload, speaking `version` (a v2 daemon answers a v1 client
-/// with v1 bytes). Encoding v2-only content at version 1 — an EXPIRED
-/// frame, a SUBMIT with a deadline — is a contract violation: v1 bytes
-/// for it do not exist.
-std::string encode_frame(const Frame& f, std::uint32_t version = kWireVersion);
+/// by the payload.
+std::string encode_frame(const Frame& f);
 
 /// Parses one payload (the bytes AFTER the length prefix). Throws
-/// io::FormatError — naming `origin` — on bad magic, future version,
-/// unknown type, out-of-range values, truncation or trailing bytes.
-/// When `version_out` is non-null it receives the version the frame was
-/// encoded at, so a server can answer in kind.
-Frame decode_payload(std::string_view payload, const std::string& origin,
-                     std::uint32_t* version_out = nullptr);
+/// io::FormatError — naming `origin` — on bad magic, a version other
+/// than kWireVersion, unknown type, out-of-range values, truncation or
+/// trailing bytes.
+Frame decode_payload(std::string_view payload, const std::string& origin);
 
 /// Writes one frame to the transport (one write_all call: frames from
 /// concurrent writers holding the connection's write lock never
 /// interleave).
-void write_frame(Transport& t, const Frame& f,
-                 std::uint32_t version = kWireVersion);
+void write_frame(Transport& t, const Frame& f);
 
 /// Per-frame read deadlines (0 = wait forever): `idle_ms` bounds the
 /// wait for the first byte of the next frame (the idle-connection
@@ -205,7 +187,6 @@ struct ReadTimeouts {
 /// prefix or a malformed payload, TransportError when the peer dies
 /// mid-frame, TransportTimeout when a ReadTimeouts deadline fires.
 std::optional<Frame> read_frame(Transport& t, const std::string& origin,
-                                const ReadTimeouts& timeouts = {},
-                                std::uint32_t* version_out = nullptr);
+                                const ReadTimeouts& timeouts = {});
 
 }  // namespace mpidetect::serve

@@ -250,6 +250,7 @@ struct ChaosConn {
 
 struct CampaignResult {
   std::set<std::uint64_t> terminal;   // ids that got VERDICT/ERROR/EXPIRED
+  std::map<std::uint64_t, serve::WireVerdict> verdicts;  // the VERDICTs
   std::size_t duplicate_answers = 0;  // terminal frames for an answered id
   bool connection_died = false;
 };
@@ -276,6 +277,7 @@ CampaignResult run_campaign(serve::Server& server, std::size_t n) {
       };
       if (const auto* v = std::get_if<serve::WireVerdict>(&*frame)) {
         terminal_id(v->request_id);
+        r.verdicts.emplace(v->request_id, *v);
       } else if (const auto* e = std::get_if<serve::Error>(&*frame)) {
         if (e->request_id == 0) {
           r.connection_died = true;  // framing lost, connection over
@@ -318,8 +320,13 @@ void expect_server_healthy(serve::Server& server) {
 TEST(ChaosServeTest, RecoverableTransportFaultsServeEveryRequest) {
   serve::Server server(chaos_options());
   server.start();
+  // The fault-free campaign is the reference every faulted one must
+  // reproduce verdict for verdict.
+  const auto clean = run_campaign(server, 12);
+  ASSERT_EQ(clean.verdicts.size(), 12u);
   // Short reads, short writes and spurious EINTR are RECOVERABLE: the
-  // retry loops in the transport must absorb them all, at high rates.
+  // retry loops in the transport must absorb them all, at high rates,
+  // without changing a single answer.
   for (const char* spec :
        {"seed=1,serve.recv.short:p=0.5",
         "seed=2,serve.send.short:p=0.5",
@@ -329,8 +336,16 @@ TEST(ChaosServeTest, RecoverableTransportFaultsServeEveryRequest) {
     const auto r = run_campaign(server, 12);
     EXPECT_FALSE(r.connection_died) << spec;
     EXPECT_EQ(r.terminal.size(), 12u) << spec;
+    EXPECT_EQ(r.verdicts.size(), 12u) << spec << ": every answer a VERDICT";
     EXPECT_EQ(r.duplicate_answers, 0u) << spec;
     EXPECT_GT(fault::Registry::global().fired_total(), 0u) << spec;
+    for (const auto& [id, v] : r.verdicts) {
+      const serve::WireVerdict& want = clean.verdicts.at(id);
+      EXPECT_EQ(v.outcome, want.outcome) << spec << " id " << id;
+      EXPECT_EQ(v.predicted_label, want.predicted_label)
+          << spec << " id " << id;
+      EXPECT_EQ(v.confidence, want.confidence) << spec << " id " << id;
+    }
   }
   expect_server_healthy(server);
   server.stop();

@@ -1,6 +1,6 @@
 // Serving subsystem tests: every wire frame must round-trip
 // bit-exactly, every flavour of byte damage (truncation, corruption,
-// future versions, trailing bytes, implausible length prefixes) must be
+// foreign versions, trailing bytes, implausible length prefixes) must be
 // rejected with io::FormatError — never a crash — and the Server must
 // hold its acceptance contract end to end over real socketpairs:
 // concurrent clients served from warm bundles, coalesced batches,
@@ -226,16 +226,22 @@ TEST(WireTest, EveryFrameRoundTrips) {
 
 // ---- protocol versioning ----------------------------------------------------
 
-/// Builds the exact v1 bytes of a frame by hand (magic, version, type,
+/// Builds the exact bytes of a frame by hand (magic, version, type,
 /// little-endian fields) — frozen independently of the encoder, so an
-/// accidental change to the v1 encoding cannot hide behind a matching
+/// accidental change to the encoding cannot hide behind a matching
 /// change to the decoder.
-std::string v1_golden(std::uint8_t type, const std::string& body) {
+std::string golden(std::uint8_t type, const std::string& body) {
   std::string p = "MGWP";
-  p += std::string("\x01\x00\x00\x00", 4);  // u32 version = 1
+  p += std::string("\x03\x00\x00\x00", 4);  // u32 version = 3
   p += static_cast<char>(type);
   p += body;
   return p;
+}
+
+std::string le32(std::uint32_t v) {
+  std::string s(4, '\0');
+  for (int i = 0; i < 4; ++i) s[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  return s;
 }
 
 std::string le64(std::uint64_t v) {
@@ -246,15 +252,18 @@ std::string le64(std::uint64_t v) {
 
 std::string wire_str(const std::string& s) { return le64(s.size()) + s; }
 
-TEST(WireVersionTest, V1EncodingIsByteIdenticalToGolden) {
+TEST(WireVersionTest, EncodingIsByteIdenticalToGolden) {
+  ASSERT_EQ(serve::kWireVersion, 3u);
   // HELLO: str client.
-  EXPECT_EQ(serve::encode_frame(serve::Hello{"cli"}, 1).substr(4),
-            v1_golden(1, wire_str("cli")));
-  // SUBMIT at v1 has NO deadline field.
-  EXPECT_EQ(
-      serve::encode_frame(serve::Submit{42, "gnn", "mbi", 17}, 1).substr(4),
-      v1_golden(3, le64(42) + wire_str("gnn") + wire_str("mbi") + le64(17)));
-  // STATS at v1 is exactly the 11 original counters.
+  EXPECT_EQ(serve::encode_frame(serve::Hello{"cli"}).substr(4),
+            golden(1, wire_str("cli")));
+  // SUBMIT: id, detector, dataset, index, then the u32 deadline.
+  EXPECT_EQ(serve::encode_frame(serve::Submit{42, "gnn", "mbi", 17, 250})
+                .substr(4),
+            golden(3, le64(42) + wire_str("gnn") + wire_str("mbi") + le64(17) +
+                          le32(250)));
+  // STATS: the 17 counters in declaration order, then a counted list of
+  // {name, calls, flops, ns} kernel rows.
   serve::Stats s;
   s.received = 1;
   s.served = 2;
@@ -267,34 +276,22 @@ TEST(WireVersionTest, V1EncodingIsByteIdenticalToGolden) {
   s.datasets_materialized = 9;
   s.cache_disk_hits = 10;
   s.cache_disk_writes = 11;
-  s.deadline_sheds = 99;  // v2-only: must NOT appear in the v1 bytes
+  s.deadline_sheds = 12;
+  s.io_timeouts = 13;
+  s.reaped_connections = 14;
+  s.retries = 15;
+  s.watchdog_trips = 16;
+  s.faults_fired = 17;
+  s.op_counters = {{"matmul", 18, 19, 20}, {"bias_elu", 21, 22, 23}};
   std::string body;
-  for (std::uint64_t v = 1; v <= 11; ++v) body += le64(v);
-  EXPECT_EQ(serve::encode_frame(s, 1).substr(4), v1_golden(8, body));
-}
-
-TEST(WireVersionTest, V1FramesDecodeAndReportTheirVersion) {
-  const std::string payload =
-      v1_golden(3, le64(7) + wire_str("") + wire_str("mbi:0.02@7") + le64(3));
-  std::uint32_t version = 0;
-  const auto f = serve::decode_payload(payload, "test", &version);
-  EXPECT_EQ(version, 1u);
-  const auto& sub = std::get<serve::Submit>(f);
-  EXPECT_EQ(sub.request_id, 7u);
-  EXPECT_EQ(sub.deadline_ms, 0u);  // the field does not exist at v1
-}
-
-TEST(WireVersionTest, V2OnlyContentRefusesV1Encoding) {
-  EXPECT_THROW((void)serve::encode_frame(serve::Expired{1}, 1),
-               ContractViolation);
-  serve::Submit s{1, "gnn", "mbi", 0};
-  s.deadline_ms = 5;
-  EXPECT_THROW((void)serve::encode_frame(s, 1), ContractViolation);
-}
-
-TEST(WireVersionTest, ExpiredFrameSmuggledIntoV1Rejected) {
-  const std::string payload = v1_golden(11, le64(13));
-  EXPECT_THROW((void)serve::decode_payload(payload, "test"), io::FormatError);
+  for (std::uint64_t v = 1; v <= 17; ++v) body += le64(v);
+  body += le64(2);
+  body += wire_str("matmul") + le64(18) + le64(19) + le64(20);
+  body += wire_str("bias_elu") + le64(21) + le64(22) + le64(23);
+  EXPECT_EQ(serve::encode_frame(s).substr(4), golden(8, body));
+  // EXPIRED: the shed request's id.
+  EXPECT_EQ(serve::encode_frame(serve::Expired{13}).substr(4),
+            golden(11, le64(13)));
 }
 
 TEST(WireTest, TruncationAtEveryLengthRejected) {
@@ -333,15 +330,20 @@ TEST(WireTest, CorruptionOfEveryByteNeverCrashes) {
   }
 }
 
-TEST(WireTest, FutureVersionRejected) {
-  std::string payload = payload_of(serve::Submit{1, "gnn", "mbi", 0});
-  // The u32 version sits right after the 4-byte magic.
-  payload[4] = static_cast<char>(serve::kWireVersion + 1);
-  try {
-    serve::decode_payload(payload, "test");
-    FAIL() << "expected FormatError";
-  } catch (const io::FormatError& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+TEST(WireTest, EveryOtherVersionRejected) {
+  const std::string good = payload_of(serve::Submit{1, "gnn", "mbi", 0});
+  for (const std::uint32_t v : {0u, 1u, 2u, serve::kWireVersion + 1}) {
+    // The u32 version sits right after the 4-byte magic.
+    std::string payload = good;
+    payload[4] = static_cast<char>(v);
+    try {
+      serve::decode_payload(payload, "test");
+      ADD_FAILURE() << "version " << v << " accepted";
+    } catch (const io::FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("version " + std::to_string(v)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -737,37 +739,35 @@ TEST(ServerTest, RejectsDuplicateBundleKeysAtStartup) {
   EXPECT_THROW(serve::Server{opts}, ContractViolation);
 }
 
-// ---- robustness: versioned conversations ------------------------------------
+// ---- robustness: a peer at another wire version ---------------------------
 
-TEST(ServerTest, V1ClientIsAnsweredInV1Bytes) {
+TEST(ServerTest, OldVersionHelloGetsConnectionErrorAndDaemonSurvives) {
   serve::Server server(server_options());
   server.start();
+  {
+    Conn conn(server);
+    // A hand-built version-1 HELLO, as an old client would send it.
+    std::string payload = payload_of(serve::Hello{"v1-client"});
+    payload[4] = 1;
+    const std::string bytes = le32(static_cast<std::uint32_t>(payload.size())) +
+                              payload;
+    conn.client->write_all(bytes.data(), bytes.size());
+    const auto err = std::get<serve::Error>(conn.read());
+    EXPECT_EQ(err.request_id, 0u);
+    EXPECT_NE(err.message.find("version 1"), std::string::npos)
+        << err.message;
+    // The server dropped the connection after replying.
+    EXPECT_EQ(serve::read_frame(*conn.client, "server"), std::nullopt);
+    conn.close();
+  }
+  EXPECT_EQ(server.snapshot_stats().protocol_errors, 1u);
+
+  // A fresh connection at kWireVersion is still served.
   Conn conn(server);
-
-  // Every frame this "old" client sends is v1; every reply must come
-  // back v1 too (an old binary rejects versions above its own).
-  serve::write_frame(*conn.client, serve::Hello{"v1-client"}, 1);
-  std::uint32_t version = 0;
-  auto f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  EXPECT_TRUE(std::holds_alternative<serve::Caps>(*f));
-
-  serve::write_frame(*conn.client, serve::Submit{1, "gnn", kSpec, 0}, 1);
-  f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  EXPECT_TRUE(std::holds_alternative<serve::WireVerdict>(*f));
-
-  serve::write_frame(*conn.client, serve::StatsReq{}, 1);
-  f = serve::read_frame(*conn.client, "server", {}, &version);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(version, 1u);
-  const auto& stats = std::get<serve::Stats>(*f);
-  EXPECT_EQ(stats.served, 1u);
-  // The v1 encoding cannot carry the robustness counters; they decode
-  // as their zero defaults.
-  EXPECT_EQ(stats.deadline_sheds, 0u);
+  serve::write_frame(*conn.client, serve::Hello{"current"});
+  (void)std::get<serve::Caps>(conn.read());
+  serve::write_frame(*conn.client, serve::Submit{1, "gnn", kSpec, 0});
+  EXPECT_EQ(std::get<serve::WireVerdict>(conn.read()).request_id, 1u);
   conn.close();
   server.stop();
 }
